@@ -27,7 +27,7 @@ fast elimination implies ``drag = 0``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.types import CoinMode, Elevation, Flip, LeaderMode, Role
 
@@ -65,15 +65,28 @@ class GSUAgentState:
     void: bool = True
 
     # ------------------------------------------------------------------
+    # Copies are built by filling a bare instance's ``__dict__`` instead of
+    # through ``dataclasses.replace``, which re-runs the frozen ``__init__``
+    # (one ``object.__setattr__`` per field) and cost about a third of the
+    # protocol's ``transition``.  The class has no ``__post_init__`` and no
+    # slots, so the shortcut skips no validation and yields an instance
+    # equal, equally hashed and equally frozen.
     def with_phase(self, phase: int) -> "GSUAgentState":
         """Copy of this state with a different clock phase."""
         if phase == self.phase:
             return self
-        return replace(self, phase=phase)
+        clone = object.__new__(GSUAgentState)
+        clone.__dict__.update(self.__dict__, phase=phase)
+        return clone
 
     def evolve(self, **changes) -> "GSUAgentState":
         """Copy of this state with the given field changes."""
-        return replace(self, **changes)
+        if not _FIELD_NAMES.issuperset(changes):
+            # Unknown field: let ``replace`` raise its usual TypeError.
+            return replace(self, **changes)
+        clone = object.__new__(GSUAgentState)
+        clone.__dict__.update(self.__dict__, **changes)
+        return clone
 
     # ------------------------------------------------------------------
     @property
@@ -115,6 +128,9 @@ class GSUAgentState:
                 f"{self.flip.name}, void={self.void}, drag={self.drag})"
             )
         return f"{self.role.name}(phase={self.phase})"
+
+
+_FIELD_NAMES = frozenset(field.name for field in fields(GSUAgentState))
 
 
 # ----------------------------------------------------------------------

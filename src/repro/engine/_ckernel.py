@@ -33,8 +33,15 @@ The function contract mirrors the engine's miss-handling loop: the kernel
 applies interactions until it hits a state pair whose table entry is still
 ``-1`` and returns that interaction's index; the caller compiles the pair
 in Python (registering new states exactly as the scalar engines do) and
-resumes.  Misses are a per-state-pair one-time cost, so the loop almost
-always completes in a single call.  Alongside each applied transition the
+resumes.  Each miss is a one-time cost per state pair, but a lazily
+discovered protocol keeps meeting new pairs: a GSU19 election at n = 2048
+re-enters the kernel 60-70 times per block.  The caller therefore keeps
+re-entry cheap.  It computes the agent, responder and initiator addresses
+once per block, and it re-takes the table snapshot (lookup-table address,
+capacity, seen-mask address) only when the table's packed array is no
+longer the one it snapshotted, i.e. after a growth by any thread.  Between
+growths the snapshot stays current, because every compiled pair lives in
+the table's current packed array.  Alongside each applied transition the
 kernel marks the two output state ids in the caller's ``seen`` byte mask,
 which is how :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
 ``states_ever_occupied`` exact without leaving C.

@@ -479,30 +479,42 @@ class FastBatchEngine(BaseEngine):
         exactly like the scalar engines) and the kernel resumes.  The kernel
         also marks every applied transition's outputs in the seen mask, so
         ``states_ever_occupied`` stays exact on this path too.
+
+        A GSU19 block takes dozens of re-entries, so the buffer addresses
+        are taken once per block, and the table snapshot only again when
+        ``table.packed`` is no longer the snapshotted array (the table grew,
+        in this thread or another).  Every compiled pair is in the current
+        packed array, so an unchanged snapshot holds the pair just compiled;
+        a superseded one would miss on it forever.  Holding ``lut`` keeps
+        its buffer alive across the GIL-released call.
         """
         kernel = self._c_kernel
         table = self.table
+        states = self._agent_states
         m = int(responders.shape[0])
+        states_addr = states.ctypes.data
+        responders_addr = responders.ctypes.data
+        initiators_addr = initiators.ctypes.data
+        lut = None
         start = 0
         while True:
-            states = self._agent_states
-            # Re-snapshot per iteration: the ``table.apply`` below may have
-            # grown the table, and holding ``lut`` keeps the buffer alive
-            # across the GIL-released call (a concurrently-grown table's
-            # stale snapshot only produces extra misses).  Snapshot before
-            # growing the seen mask — capacity only grows, so the mask is
-            # then guaranteed to cover every id the snapshot can emit.
-            lut, cap = table.packed_view()
-            self._ensure_seen()
+            if table.packed is not lut:
+                # Snapshot before growing the seen mask — capacity only
+                # grows, so the mask then covers every id the snapshot
+                # can emit.
+                lut, cap = table.packed_view()
+                self._ensure_seen()
+                lut_addr = lut.ctypes.data
+                seen_addr = self._seen.ctypes.data
             start = kernel(
-                states.ctypes.data,
-                responders.ctypes.data,
-                initiators.ctypes.data,
+                states_addr,
+                responders_addr,
+                initiators_addr,
                 m,
                 start,
-                lut.ctypes.data,
+                lut_addr,
                 cap,
-                self._seen.ctypes.data,
+                seen_addr,
             )
             if start >= m:
                 return

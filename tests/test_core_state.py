@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.state import (
     GSUAgentState,
@@ -63,6 +65,53 @@ def test_evolve_changes_only_named_fields():
     assert evolved.void is False
     assert evolved.cnt == 4
     assert evolved.role == Role.LEADER
+
+
+_FIELD_VALUES = {
+    "role": st.sampled_from(Role),
+    "phase": st.integers(0, 40),
+    "level": st.integers(0, 12),
+    "coin_mode": st.sampled_from(CoinMode),
+    "drag": st.integers(0, 12),
+    "inhibitor_mode": st.sampled_from(CoinMode),
+    "elevation": st.sampled_from(Elevation),
+    "leader_mode": st.sampled_from(LeaderMode),
+    "cnt": st.integers(0, 30),
+    "flip": st.sampled_from(Flip),
+    "void": st.booleans(),
+}
+_states = st.fixed_dictionaries(_FIELD_VALUES).map(
+    lambda fields: GSUAgentState(**fields)
+)
+_changes = st.lists(st.sampled_from(sorted(_FIELD_VALUES)), unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: _FIELD_VALUES[name] for name in names})
+)
+
+
+def _assert_same_copy(fast, reference):
+    assert type(fast) is GSUAgentState
+    assert fast == reference
+    assert hash(fast) == hash(reference)
+    assert vars(fast) == vars(reference)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.phase = 0  # type: ignore[misc]
+
+
+@given(_states, _changes)
+def test_evolve_matches_dataclasses_replace(state, changes):
+    _assert_same_copy(state.evolve(**changes), dataclasses.replace(state, **changes))
+
+
+@given(_states, _FIELD_VALUES["phase"])
+def test_with_phase_matches_dataclasses_replace(state, phase):
+    _assert_same_copy(state.with_phase(phase), dataclasses.replace(state, phase=phase))
+
+
+def test_evolve_rejects_unknown_fields():
+    with pytest.raises(TypeError):
+        leader_state().evolve(bogus=1)
+    with pytest.raises(TypeError):
+        leader_state().evolve(cnt=2, bogus=1)
 
 
 def test_role_predicates():

@@ -22,6 +22,7 @@ from repro.engine import (
     resolve_engine,
     run_protocol,
 )
+from repro.engine._ckernel import kernel_available
 from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.count_engine import CountEngine
@@ -219,6 +220,80 @@ def test_lut_growth_beyond_initial_capacity(kernel):
     assert engine.states_ever_occupied > 64
     assert engine.table.capacity >= engine.states_ever_occupied
     assert sum(count for _, count in engine.state_count_items()) == n
+
+
+requires_c_kernel = pytest.mark.skipif(
+    not kernel_available(), reason="compiled fast-batch kernel unavailable"
+)
+
+
+class _GuardedTable:
+    """Table proxy watching the C engine's miss compiles.
+
+    A kernel re-entering a superseded table snapshot misses on every pair
+    compiled since, forever; the proxy turns that livelock into a failure
+    by rejecting a repeated compile request for one pair.  With
+    ``grows`` > 0 it also grows the real table right after each of the
+    first ``grows`` compiles — standing in for another thread growing a
+    shared table between this engine's compile and its next re-entry.
+    """
+
+    def __init__(self, table, grows: int = 0) -> None:
+        self._table = table
+        self.grows_left = grows
+        self._last_pair = None
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def apply(self, responder_id: int, initiator_id: int):
+        pair = (responder_id, initiator_id)
+        assert pair != self._last_pair, f"kernel re-entered a stale table on {pair}"
+        self._last_pair = pair
+        result = self._table.apply(responder_id, initiator_id)
+        if self.grows_left:
+            self.grows_left -= 1
+            with self._table._lock:
+                self._table._grow(self._table.capacity + 1)
+        return result
+
+
+@requires_c_kernel
+def test_c_kernel_matches_numpy_across_table_doublings():
+    """The C miss loop re-snapshots the table as it grows 64 -> 128 -> ...
+
+    Both engines share one protocol, so state ids mean the same thing in
+    each; the C engine steps first every round and therefore takes every
+    miss (and every capacity doubling) inside its kernel loop.
+    """
+    n = 1024
+    protocol = GSULeaderElection.for_population(n)
+    compiled = FastBatchEngine(protocol, n, rng=9, kernel="c")
+    compiled.table = _GuardedTable(compiled.table)
+    vectorised = FastBatchEngine(protocol, n, rng=9, kernel="numpy")
+    capacities = {compiled.table.capacity}
+    for _ in range(30):
+        compiled.run(4 * n)
+        capacities.add(compiled.table.capacity)
+        vectorised.run(4 * n)
+        assert compiled.agent_state_ids() == vectorised.agent_state_ids()
+    assert {64, 128, 256} <= capacities
+    assert compiled.states_ever_occupied == vectorised.states_ever_occupied
+
+
+@requires_c_kernel
+def test_c_kernel_resnapshots_a_table_grown_between_reentries():
+    n = 1024
+    forced = FastBatchEngine(GSULeaderElection.for_population(n), n, rng=4, kernel="c")
+    guard = _GuardedTable(forced.table, grows=3)
+    forced.table = guard
+    plain = FastBatchEngine(GSULeaderElection.for_population(n), n, rng=4, kernel="c")
+    forced.run(20 * n)
+    plain.run(20 * n)
+    assert guard.grows_left == 0
+    assert forced.table.capacity > plain.table.capacity
+    assert forced.agent_state_ids() == plain.agent_state_ids()
+    assert forced.states_ever_occupied == plain.states_ever_occupied
 
 
 def test_agent_level_inspection_helpers():

@@ -12,23 +12,28 @@ Three properties are pinned here:
 * **Table thread-safety** — the lazily extending ``TransitionTable``
   structures (delta memo, packed LUT, output maps, view vectors) survive
   concurrent extension from many threads and end up exactly as a serial
-  build would.
+  build would, and C-kernel engines growing one shared table from several
+  threads keep their serial trajectories.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine import parallel
+from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available, kernel_thread_backend
 from repro.engine.count_batch import CountBatchEngine, replicated_engine
 from repro.engine.cpus import available_cpus, resolve_kernel_threads
 from repro.engine.dispatch import releases_gil
+from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.parallel import run_cells, run_many
 from repro.engine.rng import spawn_seeds
 from repro.engine.views import PredicateView
@@ -287,3 +292,60 @@ def test_concurrent_table_extension_hammer():
     values = table.view_values(is_leader)
     for sid in range(k):
         assert values[sid] == is_leader.compile_state(table.encoder.decode(sid))
+
+
+def _decoded_agents(engine) -> list:
+    return [engine.encoder.decode(sid) for sid in engine.agent_state_ids()]
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="compiled fast-batch kernel unavailable"
+)
+def test_concurrent_fast_batch_engines_on_one_growing_table():
+    """C-kernel engines sharing one lazily growing table stay exact.
+
+    Each engine's miss loop sees the table grow under it from the other
+    threads; re-entering a superseded snapshot would livelock the thread
+    and misindexing would corrupt its trajectory.  Agents are compared
+    decoded, because id layout depends on the threads' compile order.
+    """
+    n, seeds, chunks = 1024, [3, 5, 7, 9], 8
+    shared = _gsu_factory(n)
+    engines = [FastBatchEngine(shared, n, rng=seed, kernel="c") for seed in seeds]
+    barrier = threading.Barrier(len(engines))
+    errors = []
+
+    def drive(engine) -> None:
+        # Chunk sizes shape the sampler's draws, so the reference repeats them.
+        for _ in range(chunks):
+            engine.run(3 * n)
+
+    def worker(engine) -> None:
+        try:
+            barrier.wait(timeout=30)
+            drive(engine)
+        except Exception as error:  # noqa: BLE001 - surfaced below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=worker, args=(engine,), daemon=True)
+        for engine in engines
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert shared.compile().capacity > 64
+    for seed, engine in zip(seeds, engines):
+        reference = FastBatchEngine(_gsu_factory(n), n, rng=seed, kernel="c")
+        drive(reference)
+        assert _decoded_agents(engine) == _decoded_agents(reference)
+        assert engine.states_ever_occupied == reference.states_ever_occupied
