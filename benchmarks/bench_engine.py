@@ -17,9 +17,9 @@ Two entry points:
   across all engines at ``n ∈ {10^4, 10^5, 10^6, 10^7}`` on the one-way
   epidemic, plus the GSU19 count-space section (exact engines at
   ``n ∈ {10^6, 10^7}`` on the headline protocol, reachable closure
-  registered — the numbers behind the dispatcher's occupied-frontier cost
-  model; ``countbatch`` through the compiled count kernel and
-  ``countbatch-python`` on the portable path, plus a kernel-only
+  registered — the numbers behind the dispatcher's no-kernel
+  occupied-frontier cost model; ``countbatch`` through the compiled count
+  kernel and ``countbatch-python`` on the portable path, plus a kernel-only
   ``countbatch`` cell at ``n = 10^9``); writes the machine-readable
   ``BENCH_engine.json`` at the repo root so the performance trajectory is
   tracked PR over PR.  The GSU19
@@ -352,7 +352,8 @@ def run_gsu19_ablation(
     first *warms* the configuration for two parallel-time units from a
     fresh engine before the timed window — GSU19's occupied frontier grows
     from 1 to dozens of states over the first rounds and the steady-state
-    frontier is what the dispatcher's cost model is calibrated against.
+    frontier is what the dispatcher's no-kernel cost model is calibrated
+    against.
 
     ``kernel_sizes`` adds count-space-only cells where just the
     kernel-backed ``countbatch`` engine is timed (see
@@ -409,7 +410,7 @@ def run_gsu19_ablation(
                     "reachable closure registered (computed once per "
                     "calibration); occupied_states is the frontier at the "
                     "end of the timed window — the quantity the auto "
-                    "dispatcher's count-batch cost model keys on; "
+                    "dispatcher's no-kernel count-batch cost model keys on; "
                     "'countbatch' runs the compiled count kernel where "
                     "count_kernel_available, 'countbatch-python' pins the "
                     "portable path"

@@ -50,14 +50,16 @@ __all__ = ["GSULeaderElection", "CLOSURE_MIN_N_HINT"]
 
 #: Population-size hint from which :meth:`GSULeaderElection.canonical_states`
 #: computes the reachable-state closure.  Tied by import to the dispatcher's
-#: *force* threshold (:data:`repro.engine.dispatch.COUNTBATCH_FORCE_N`) —
-#: the size from which GSU19 is actually count-dispatched.  Below it the
-#: cost model always keeps GSU19 on the per-agent engines (the occupied
-#: frontier prices count-batch out), so the ``Θ(K²)`` BFS (tens of seconds
-#: for the default calibration, ``K ≈ 1.3–1.8·10³`` states) would be pure
-#: construction overhead; those instances keep the lazily discovered state
-#: space — which also keeps their seed-pinned count-engine trajectories
-#: unchanged — and the count engines still run them fine via lazy growth
+#: no-kernel *force* threshold (:data:`repro.engine.dispatch.COUNTBATCH_FORCE_N`).
+#: The gate no longer decides dispatch: with the compiled count kernel
+#: ``auto`` picks count-batch from ``3*10^6`` agents without calling
+#: ``canonical_states``, and without the kernel the cost model keeps GSU19
+#: on the per-agent engines below this size.  It decides only whether the
+#: compiled table pre-registers the closure when it is built.  Below it the
+#: ``Θ(K²)`` BFS (``K ≈ 1.3–1.8·10³`` states at the default calibration)
+#: would be pure construction overhead, so those instances keep the lazily
+#: discovered state space — which also keeps their seed-pinned count-engine
+#: trajectories unchanged — and the count engines run them via lazy growth
 #: (or an explicit :meth:`GSULeaderElection.reachable_state_closure`).
 CLOSURE_MIN_N_HINT = COUNTBATCH_FORCE_N
 
@@ -145,9 +147,10 @@ class GSULeaderElection(PopulationProtocol):
         ``n = 10^6``-``10^7``, versus ``K ~ 1.8*10^3`` reachable): the phase
         clock keeps each sub-population's phases in a narrow moving band.
         The bound below — a few phases' worth of every role's field
-        combinations — envelopes every measurement with ~2x headroom and
-        feeds the dispatcher's count-batch cost model (engine choice only,
-        never correctness).
+        combinations — envelopes every measurement with ~2x headroom.  Only
+        the dispatcher's no-kernel count-batch cost model reads it (engine
+        choice only, never correctness); with the compiled count kernel
+        ``auto`` does not consult it.
         """
         return 4 * self.params.gamma + 4 * (self.params.phi + self.params.psi)
 

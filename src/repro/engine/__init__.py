@@ -52,9 +52,9 @@ Seven engines are provided — five exact, plus an opt-in approximate tier:
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
   impossible (memory).  Requires a *count-capable* protocol at scale: an
   ``O(k)`` ``initial_counts`` (the O(n) configuration fallback is refused
-  at ``n >= 10^7``) and — for auto dispatch — a finite
-  ``canonical_states`` (GSU19 declares its reachable-state closure, see
-  :mod:`repro.engine.closure`).  The kernel and Python paths are equal in
+  at ``n >= 10^7``) and — for auto dispatch without the count kernel —
+  a finite ``canonical_states`` (GSU19 declares its reachable-state
+  closure, see :mod:`repro.engine.closure`).  The kernel and Python paths are equal in
   distribution but consume randomness differently, so each carries its own
   trajectory-digest pins; ``CountBatchEngine(..., kernel="python")`` pins
   the portable path.
@@ -104,9 +104,10 @@ countbatch       exact in    occupied-frontier work      huge n with an O(k)
                  tion        interactions — vanishes     n >= 10^7 engine, to
                              as n grows; O(k) memory;    n = 10^12 with the
                              compiled count kernel       count kernel (auto:
-                             with a C compiler           cost model from
-                                                         3*10^6, forced from
-                                                         3*10^7)
+                             with a C compiler           from 3*10^6 with the
+                                                         kernel; without it
+                                                         by cost model,
+                                                         forced from 3*10^7)
 count            exact in    O(k) Python, O(k) memory    auditing the count
                  distribu-                               representation; not a
                  tion                                    throughput choice
@@ -130,16 +131,19 @@ five workloads, mean-field to an ``O(1/sqrt(n))`` occupancy band, with the
 tolerances documented next to the assertions.
 
 ``"auto"`` (see :func:`~repro.engine.dispatch.auto_engine`) encodes exactly
-this table.  A protocol is *count-capable* when it declares an ``O(k)``
-``initial_counts`` and a finite ``canonical_states`` (epidemic, both
-majorities, the slow election; GSU19 via its cached reachable-state
-closure).  For count-capable protocols above ``3*10^6`` agents the
-dispatcher evaluates a measured per-batch cost model at the protocol's
-occupied-frontier bound (``occupied_states_hint()``) against the fast-batch
-reference, and from ``3*10^7`` it forces count-batch outright — per-agent
-construction is O(n) in time and memory there.  Everything else gets
-fastbatch above the crossover for whichever hot path is actually available,
-sequential otherwise.  The approximate batch engine is never auto-selected,
+this table.  From ``3*10^6`` agents it has two tiers, chosen by whether the
+compiled count kernel is available.  With the kernel, every protocol that
+declares an ``O(k)`` ``initial_counts`` goes to count-batch, whose table
+grows lazily on the frontier the run occupies; the dispatcher enumerates
+no states there.  Without it, a protocol must be *count-capable* — an
+``O(k)`` ``initial_counts`` and a finite ``canonical_states`` (epidemic,
+both majorities, the slow election; GSU19 via its cached reachable-state
+closure) — and the dispatcher evaluates a measured per-batch cost model at
+the protocol's occupied-frontier bound (``occupied_states_hint()``) against
+the fast-batch reference, forcing count-batch outright from ``3*10^7``,
+where per-agent construction is O(n) in time and memory.  Everything else
+gets fastbatch above the crossover for whichever hot path is actually
+available, sequential otherwise.  The approximate batch engine is never auto-selected,
 and constructing it emits a :class:`FutureWarning`.
 
 The :mod:`repro.engine.simulation` module layers run management (convergence

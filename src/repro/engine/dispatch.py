@@ -22,15 +22,13 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   ``sqrt(n)``, so its advantage grows with ``n``).
 * ``CountBatchEngine`` — exact in distribution, ``O(k)`` memory, and
   processes collision-free runs of ``Θ(sqrt(n))`` interactions per batched
-  update whose cost follows the *occupied* state frontier.  Eligible when
-  the protocol is **count-capable**: it declares a finite canonical state
-  space (for GSU19 the reachable-state closure, see
-  :meth:`repro.core.protocol.GSULeaderElection.canonical_states`) *and* an
-  ``O(k)`` ``initial_counts`` path.  Among eligible protocols the choice is
-  a measured cost model (below): the classic small-state-space workloads
-  cross over around ``3*10^6`` agents, and above ``_COUNTBATCH_FORCE_N``
-  count-batch is selected unconditionally — the per-agent engines' ``O(n)``
-  arrays and construction loops stop being viable long before ``10^8``.
+  update whose cost follows the *occupied* state frontier.  From
+  ``_COUNTBATCH_MIN_N`` agents its eligibility depends on the tier (below):
+  with the compiled count kernel every protocol with an ``O(k)``
+  ``initial_counts`` is dispatched to it; without the kernel a measured
+  cost model decides below ``COUNTBATCH_FORCE_N`` and count-capability
+  alone above it — the per-agent engines' ``O(n)`` arrays and construction
+  loops stop being viable long before ``10^8``.
 * ``CountEngine`` — exact, ``O(k)`` memory, one ordered pair per step.
   Never the throughput winner; kept as the easiest-to-audit
   configuration-level reference and never auto-selected (count-batch
@@ -68,33 +66,37 @@ exact tier is pinned by ``tests/test_engine_approx.py`` via
   fluctuations; says nothing about distributions or hitting times of
   individual runs.
 
-The count-batch cost model
-==========================
+Count dispatch: two tiers
+=========================
 
-One count-batch update advances an expected ``sqrt(pi * n / 4) ~ 0.886
-sqrt(n)`` interactions; its cost is a fixed overhead plus a term in the
-number ``k`` of *occupied* states (scalar hypergeometric splits while ``k``
-is small, one compacted vectorised split per pairing row beyond that — see
-:mod:`repro.engine.count_batch`).  The dispatcher compares that per-batch
-cost, evaluated at the protocol's occupied-frontier bound
-(:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`,
-defaulting to the declared state-space size), against the fast-batch
-engine's measured per-interaction cost.  All constants were measured on the
-``BENCH_engine.json`` workloads.
+From ``_COUNTBATCH_MIN_N`` agents (and never below it) ``auto`` may pick
+``CountBatchEngine``.  How it decides depends only on whether the compiled
+count kernel (:mod:`repro.engine._count_kernel`, built by the same compiler
+probe as the fast-batch kernel) is available on the machine:
 
-The model is evaluated against the tier the engine would actually run:
-with the compiled count kernel (:mod:`repro.engine._count_kernel`,
-available whenever ``_ckernel``'s compiler probe succeeds) the per-batch
-cost is one C call — ~1us fixed plus ~0.13us per occupied pairing cell —
-which moves the countbatch-vs-fastbatch crossover down to
-``_COUNTBATCH_MIN_N`` for protocols whose frontier hint stays below ~30
-states.  (GSU19's *hint* — 124 states at headline calibrations — still
-prices it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised*
-frontier is far sparser, so an explicit ``engine="countbatch"`` beats
-``auto`` by ~10x in that window on kernel machines.  The hint is a bound,
-and the model deliberately trusts it — mispricing toward the bit-exact
-engine is the safe direction.)  Below
-``_COUNTBATCH_MIN_N`` the policy stays deliberately kernel-independent:
+* **Kernel tier** — count-capability means an ``O(k)`` ``initial_counts``.
+  Every such protocol goes to ``CountBatchEngine``; the transition table
+  then grows lazily on the frontier the run actually occupies.  The
+  dispatcher never calls ``canonical_states`` (which may run GSU19's
+  reachable-closure BFS) or ``occupied_states_hint`` on this tier.  A
+  kernel batch costs about a microsecond plus a LUT lookup per occupied
+  pairing cell and advances ``~0.886 sqrt(n)`` interactions, so the
+  realised frontier, not a bound on it, sets the cost; the per-agent
+  engines' ``O(n)`` construction, census and checkpoints go away.
+* **No-kernel tier** — the count-batch update runs in Python, so it is
+  priced.  One update advances an expected ``sqrt(pi * n / 4)``
+  interactions; its cost is a fixed overhead plus a term in the number
+  ``k`` of occupied states (scalar hypergeometric splits while ``k`` is
+  small, one compacted vectorised split per pairing row beyond that — see
+  :mod:`repro.engine.count_batch`).  The model evaluates that cost at the
+  protocol's occupied-frontier bound
+  (:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`,
+  defaulting to the declared state-space size) against the fast-batch
+  engine's measured per-interaction cost, and requires a finite declared
+  state space.  From ``COUNTBATCH_FORCE_N`` count-capability alone decides.
+  All constants were measured on the ``BENCH_engine.json`` workloads.
+
+Below ``_COUNTBATCH_MIN_N`` the policy is deliberately kernel-independent:
 every ``auto`` choice there is in the bit-for-bit sequential-identical
 engine family, so seed-pinned results agree across machines with and
 without a C compiler.  (Above it, count-batch trajectories are only ever
@@ -174,25 +176,26 @@ _FASTBATCH_MIN_N_CKERNEL = 256
 #: explicitly).
 _COUNTBATCH_MIN_N = 3_000_000
 
-#: Population size from which a count-capable protocol is dispatched to the
-#: configuration-space engine unconditionally: the per-agent engines build
-#: an O(n) Python list and O(n) arrays at construction (~0.5-1 GB and a
-#: minutes-scale encode loop at this size, several GB at 10^8), so the
-#: throughput comparison stops being the binding constraint.  Public:
-#: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is defined
-#: as this threshold — the size from which the closure actually pays off.
+#: Population size from which, on the no-kernel tier, a count-capable
+#: protocol is dispatched to the configuration-space engine unconditionally
+#: (the kernel tier already does so from _COUNTBATCH_MIN_N): the per-agent
+#: engines build an O(n) Python list and O(n) arrays at construction
+#: (~0.5-1 GB and a minutes-scale encode loop at this size, several GB at
+#: 10^8), so the throughput comparison stops being the binding constraint.
+#: Public: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is
+#: defined as this threshold — the size from which the closure pays off.
 COUNTBATCH_FORCE_N = 30_000_000
 
 #: Backwards-compatible internal alias.
 _COUNTBATCH_FORCE_N = COUNTBATCH_FORCE_N
 
-#: Count-based dispatch requires the declared state space to fit a sane
+#: No-kernel count dispatch requires the declared state space to fit a sane
 #: packed transition LUT: the table allocates an (k x k) int64 array, which
 #: at 4096 states is ~134 MB — beyond that the compiled IR itself stops
 #: being "small" and the count engines lose their memory argument.
 _COUNTBATCH_MAX_DECLARED_STATES = 4096
 
-# --- measured count-batch cost model (see BENCH_engine.json) -----------
+# --- measured no-kernel count-batch cost model (see BENCH_engine.json) --
 #: Fixed per-batch overhead: survival-curve inversion, the participant /
 #: responder hypergeometric splits and the Python bookkeeping around them.
 _COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.7e-5
@@ -205,23 +208,11 @@ _COUNTBATCH_SCALAR_CELL_SECONDS = 1.7e-6
 #: row's share of the bulk update; measured ~30us/row on the GSU19
 #: workload at n = 10^7).
 _COUNTBATCH_ROW_SECONDS = 3.0e-5
-#: Fast-batch reference cost per interaction.  The C-kernel figure is used
-#: on purpose even where the kernel is absent (kernel-independent policy,
-#: see _COUNTBATCH_MIN_N): ~34-38 M interactions/s on the BENCH_engine
-#: workloads at n >= 10^6.
+#: Fast-batch reference cost per interaction.  The C-kernel figure is kept
+#: on purpose although only the no-kernel tier reads it, so that tier still
+#: makes the choices it always made: ~34-38 M interactions/s on the
+#: BENCH_engine workloads at n >= 10^6.
 _FASTBATCH_SECONDS_PER_INTERACTION = 2.9e-8
-
-# --- compiled count-kernel tier (see repro.engine._count_kernel) --------
-#: Fixed per-batch overhead of the compiled count kernel: the ctypes call,
-#: the survival-curve inversion and the occupied-frontier scan.
-_COUNTBATCH_KERNEL_BATCH_OVERHEAD_SECONDS = 1.0e-6
-#: Per pairing cell (occupied x occupied) cost inside the kernel — a LUT
-#: lookup plus the cell's share of the hypergeometric row splits; most
-#: cells short-circuit, so this is an average (~0.13us measured on a
-#: 60-state identity workload at n = 10^7; the model mildly overestimates
-#: sparse frontiers, which only delays the countbatch switch — the safe
-#: direction).
-_COUNTBATCH_KERNEL_CELL_SECONDS = 1.3e-7
 
 
 def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
@@ -242,27 +233,16 @@ def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
         return sum(1 for _ in canonical)
 
 
-def countbatch_batch_seconds(occupied: int, kernel: Optional[bool] = None) -> float:
-    """Modelled cost of one count-batch update at an occupied frontier.
+def countbatch_batch_seconds(occupied: int) -> float:
+    """Modelled cost of one Python-path count-batch update at an occupied
+    frontier.
 
-    ``kernel`` selects the compiled-count-kernel tier (quadratic in the
-    frontier with a ~13x smaller cell constant and a ~27x smaller fixed
-    overhead than the Python path); ``None`` probes
-    :func:`~repro.engine._count_kernel.count_kernel_available`, matching
-    what ``CountBatchEngine(kernel="auto")`` will actually run.  The
-    Python-path model is piecewise in the frontier size with the
-    breakpoint imported from the engine itself
-    (``count_batch._MVH_SCALAR_MAX_OCCUPIED``), so model and engine switch
-    paths at the same frontier; all constants measured on the
-    BENCH_engine workloads (module docstring).
+    Only the no-kernel tier prices count-batch (module docstring).  The
+    model is piecewise in the frontier size with the breakpoint imported
+    from the engine itself (``count_batch._MVH_SCALAR_MAX_OCCUPIED``), so
+    model and engine switch paths at the same frontier; all constants
+    measured on the BENCH_engine workloads.
     """
-    if kernel is None:
-        kernel = count_kernel_available()
-    if kernel:
-        return (
-            _COUNTBATCH_KERNEL_BATCH_OVERHEAD_SECONDS
-            + _COUNTBATCH_KERNEL_CELL_SECONDS * occupied * occupied
-        )
     if occupied <= _MVH_SCALAR_MAX_OCCUPIED:
         return (
             _COUNTBATCH_BATCH_OVERHEAD_SECONDS
@@ -284,9 +264,10 @@ def _countbatch_profitable(occupied: int, n: int) -> bool:
 
 
 def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
-    """Declared state-space size if ``protocol`` can be count-dispatched.
+    """Declared state-space size if ``protocol`` can be count-dispatched
+    without the count kernel.
 
-    Count-capability requires an ``O(k)`` ``initial_counts`` path (the
+    There, count-capability requires an ``O(k)`` ``initial_counts`` path (the
     configuration-level engines refuse the ``O(n)`` fallback at 10^7+) and
     a finite declared state space small enough for the packed transition
     LUT.  Returns the declared size, or ``None`` when ineligible.
@@ -375,6 +356,32 @@ def _scenario_capable_names() -> list:
     )
 
 
+def _countbatch_without_kernel(protocol: PopulationProtocol, n: int) -> bool:
+    """No-kernel tier: whether count-batch is forced or modelled profitable
+    at ``n >= _COUNTBATCH_MIN_N``.
+
+    Below the force threshold an unprofitable frontier hint prices
+    count-batch out *before* ``canonical_states`` is consulted: that
+    enumeration may be expensive (GSU19's closure BFS), and it must only be
+    paid when it can change the decision.
+    """
+    hint = protocol.occupied_states_hint()
+    worth_probing = (
+        n >= _COUNTBATCH_FORCE_N
+        or hint is None
+        or _countbatch_profitable(hint, n)
+    )
+    if not worth_probing:
+        return False
+    states = count_capable(protocol, n)
+    if states is None:
+        return False
+    if n >= _COUNTBATCH_FORCE_N:
+        return True
+    occupied = states if hint is None else min(states, hint)
+    return _countbatch_profitable(occupied, n)
+
+
 def auto_engine(
     protocol: PopulationProtocol, n: int, scenario=None
 ) -> Type[BaseEngine]:
@@ -402,26 +409,14 @@ def auto_engine(
                     return FastBatchEngine
             return SequentialEngine
     if n >= _COUNTBATCH_MIN_N:
-        hint = protocol.occupied_states_hint()
-        # Below the force threshold, an unprofitable frontier hint prices
-        # count-batch out *before* canonical_states is consulted: that
-        # enumeration may be expensive (GSU19's ~45s closure BFS), and it
-        # must only be paid when it can change the decision — not to be
-        # told "fastbatch", which is what the cost model says for GSU19's
-        # frontier in the 3*10^6..3*10^7 window.
-        worth_probing = (
-            n >= _COUNTBATCH_FORCE_N
-            or hint is None
-            or _countbatch_profitable(hint, n)
-        )
-        if worth_probing:
-            states = count_capable(protocol, n)
-            if states is not None:
-                if n >= _COUNTBATCH_FORCE_N:
-                    return CountBatchEngine
-                occupied = states if hint is None else min(states, hint)
-                if _countbatch_profitable(occupied, n):
-                    return CountBatchEngine
+        if count_kernel_available():
+            # Kernel tier: the table grows on the realised frontier, so
+            # neither canonical_states (GSU19's closure BFS) nor the
+            # frontier hint is consulted.
+            if protocol.initial_counts(n) is not None:
+                return CountBatchEngine
+        elif _countbatch_without_kernel(protocol, n):
+            return CountBatchEngine
     threshold = (
         _FASTBATCH_MIN_N_CKERNEL if kernel_available() else _FASTBATCH_MIN_N
     )

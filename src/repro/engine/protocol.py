@@ -130,10 +130,10 @@ class PopulationProtocol(abc.ABC):
         gigabytes.  The default ``None`` makes those engines fall back to
         :meth:`initial_configuration` (refused outright at ``n >= 10^7``,
         where the fallback would silently allocate gigabytes).  Counts must
-        be non-negative and sum to ``n``.  Declaring this hook is half of
-        being *count-capable* (the other half is a finite
-        :meth:`canonical_states`), which is what makes ``engine="auto"``
-        consider the configuration-space engines at large ``n``.
+        be non-negative and sum to ``n``.  Declaring this hook is what makes
+        ``engine="auto"`` consider the configuration-space engines at large
+        ``n``: on its own with the compiled count kernel, together with a
+        finite :meth:`canonical_states` (*count-capable*) without it.
         """
         return None
 
@@ -144,12 +144,13 @@ class PopulationProtocol(abc.ABC):
         states any configuration actually occupies at one time (GSU19: a
         reachable closure of ``~1.8*10^3`` states, but runs occupy well
         under a hundred at once — agents' clock phases stay in a narrow
-        moving band) can declare that envelope here.  The dispatcher's
-        count-batch cost model evaluates per-batch cost at this bound
-        instead of the full declared size; it never affects correctness,
-        only engine choice, so an empirically measured envelope is fine.
-        ``None`` (the default) makes the dispatcher fall back to the
-        declared state-space size.
+        moving band) can declare that envelope here.  Only the dispatcher's
+        *no-kernel* count-batch cost model reads it, evaluating per-batch
+        cost at this bound instead of the full declared size; with the
+        compiled count kernel ``auto`` prices nothing and never calls this.
+        It never affects correctness, only engine choice, so an empirically
+        measured envelope is fine.  ``None`` (the default) makes the
+        no-kernel model fall back to the declared state-space size.
         """
         return None
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from test_engine_trajectory_digests import _CHUNKS, ENGINES, EXPECTED, PROTOCOLS
 
+from repro.engine._count_kernel import count_kernel_available
 from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.scheduler import PairSampler
@@ -521,3 +523,102 @@ def test_fixed_cadence_resume_does_not_inherit_auto_controller(tmp_path):
     )
     resumed.run(max_parallel_time=6.0)
     assert resumed.checkpoint_payload()["auto_cadence"] is None
+
+
+# ----------------------------------------------------------------------
+# Checkpoints across the kernel-tier count-dispatch policy
+# ----------------------------------------------------------------------
+def _interrupted_and_full(tmp_path, n, total, seed, engine_cls, make_recorders):
+    """``(full, resumed, checkpoint, records)``: one uninterrupted run to
+    ``total`` parallel time, and the same run checkpointed at ``total / 2``
+    and resumed from the file on a fresh protocol instance.  ``records``
+    lines up each recorder of the full run with the interrupted run's
+    (first half) and the resumed run's (second half)."""
+    from repro.core.protocol import GSULeaderElection
+    from repro.engine.simulation import Simulation
+
+    full_recorders = make_recorders()
+    full = Simulation(
+        GSULeaderElection.for_population(n),
+        n,
+        rng=seed,
+        engine_cls=engine_cls,
+        recorders=full_recorders,
+    )
+    full.run(max_parallel_time=total)
+
+    path = tmp_path / "run.ckpt"
+    first_recorders = make_recorders()
+    first = Simulation(
+        GSULeaderElection.for_population(n),
+        n,
+        rng=seed,
+        engine_cls=engine_cls,
+        recorders=first_recorders,
+        checkpoint_every=n,
+        checkpoint_path=path,
+    )
+    first.run(max_parallel_time=total / 2)
+    checkpoint = read_checkpoint(path)
+    assert checkpoint["engine_snapshot"]["interactions"] == first.engine.interactions
+    second_recorders = make_recorders()
+    resumed = Simulation.from_checkpoint(
+        GSULeaderElection.for_population(n), path, recorders=second_recorders
+    )
+    assert type(resumed.engine) is type(first.engine)
+    resumed.run(max_parallel_time=total)
+    records = list(zip(full_recorders, first_recorders, second_recorders))
+    return full, resumed, checkpoint, records
+
+
+def _assert_same_end(full, resumed) -> None:
+    assert resumed.engine.interactions == full.engine.interactions
+    # Equal dense count vectors pin the state-id order, not just the counts.
+    assert resumed.engine.encoder.states() == full.engine.encoder.states()
+    assert np.array_equal(resumed.engine.count_vector(), full.engine.count_vector())
+    assert resumed.engine.states_ever_occupied == full.engine.states_ever_occupied
+
+
+def test_fastbatch_checkpoint_at_count_scale_resumes_on_fastbatch(tmp_path):
+    """``auto`` used to run GSU19 on fastbatch from 3*10^6 agents; the
+    checkpoints it wrote there name that engine, and they keep resuming on
+    it bit-exactly now that ``auto`` picks count-batch there."""
+    from repro.engine.fast_batch import FastBatchEngine
+
+    full, resumed, _, _ = _interrupted_and_full(
+        tmp_path, 3 * 10**6, 2.0, 31, "fastbatch", list
+    )
+    assert type(resumed.engine) is FastBatchEngine
+    _assert_same_end(full, resumed)
+
+
+@pytest.mark.skipif(
+    not count_kernel_available(),
+    reason="auto picks count-batch at 3*10^6 only with the compiled count kernel",
+)
+def test_auto_gsu19_at_count_threshold_resumes_bit_exactly_on_countbatch(tmp_path):
+    """An ``auto`` GSU19 run at 3*10^6 goes to count-batch with a lazily
+    grown table.  Interrupted mid-run, it resumes on count-batch with the
+    same state-id order and the same role census as the uninterrupted
+    run."""
+    from repro.core.monitor import RoleCensusRecorder
+    from repro.engine.count_batch import CountBatchEngine
+
+    full, resumed, checkpoint, records = _interrupted_and_full(
+        tmp_path, 3 * 10**6, 12.0, 32, "auto", lambda: [RoleCensusRecorder()]
+    )
+    assert type(full.engine) is CountBatchEngine
+    assert type(resumed.engine) is CountBatchEngine
+    # The table grew after the checkpoint: the resume had to extend the
+    # restored id layout, not merely replay it.
+    assert len(full.engine.encoder) > len(
+        checkpoint["engine_snapshot"]["encoder_states"]
+    )
+    _assert_same_end(full, resumed)
+    ((whole, first, second),) = records
+    # The resumed run records once at its start, where the first run's last
+    # record was taken: both must see the same restored census.
+    assert second.times[0] == first.times[-1]
+    assert second.censuses[0] == first.censuses[-1]
+    assert first.times + second.times[1:] == whole.times
+    assert first.censuses + second.censuses[1:] == whole.censuses

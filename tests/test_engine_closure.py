@@ -151,17 +151,20 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
     assert quantile_profile_distance(reference, batched) < 1.5
 
 
-def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
-    """In the 3e6..3e7 window the cost model prices GSU19's occupied
-    frontier out before canonical_states is consulted — dispatch must not
-    pay the ~45s default-calibration closure BFS just to pick fastbatch.
+def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs(monkeypatch):
+    """In the 3e6..3e7 window dispatch must not pay the default-calibration
+    closure BFS, on either tier.  With the count kernel GSU19 goes to
+    count-batch on its ``initial_counts`` alone (the table grows on the
+    realised frontier); without it the cost model prices the occupied
+    frontier out before canonical_states is consulted.
 
     The instance is built with the *default* calibration and an n_hint past
     the closure gate, so canonical_states() genuinely would run the BFS if
-    consulted (this test would take ~45s if the guard regressed); the
-    dispatched n sits in the window where the model rejects count-batch.
+    consulted (this test would take tens of seconds if the guard
+    regressed).
     """
     from repro.core import protocol as core_protocol
+    from repro.engine import dispatch
     from repro.engine.dispatch import COUNTBATCH_FORCE_N
     from repro.engine.fast_batch import FastBatchEngine
 
@@ -172,12 +175,16 @@ def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
     params = protocol.params
     key = (params.gamma, params.phi, params.psi)
     cached_before = key in core_protocol._CLOSURE_CACHE
-    assert auto_engine(protocol, 5_000_000) is FastBatchEngine
-    if not cached_before:
-        assert key not in core_protocol._CLOSURE_CACHE, (
-            "auto dispatch computed the reachable closure for a decision "
-            "the frontier hint already settled"
+    for count_kernel, expected in ((True, CountBatchEngine), (False, FastBatchEngine)):
+        monkeypatch.setattr(
+            dispatch, "count_kernel_available", lambda value=count_kernel: value
         )
+        assert auto_engine(protocol, 5_000_000) is expected
+        if not cached_before:
+            assert key not in core_protocol._CLOSURE_CACHE, (
+                "auto dispatch computed the reachable closure for a decision "
+                "that does not need it"
+            )
 
 
 def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():

@@ -331,7 +331,10 @@ def test_run_protocol_accepts_engine_names_and_auto():
 # Dispatcher
 # ----------------------------------------------------------------------
 def test_auto_engine_policy_without_c_kernel(monkeypatch):
+    # One compiler probe builds both kernels, so no machine has the
+    # fast-batch kernel without the count kernel or vice versa.
     monkeypatch.setattr("repro.engine.dispatch.kernel_available", lambda: False)
+    monkeypatch.setattr("repro.engine.dispatch.count_kernel_available", lambda: False)
     epidemic = OneWayEpidemic()
     assert auto_engine(epidemic, 1024) is SequentialEngine
     assert auto_engine(epidemic, _FASTBATCH_MIN_N) is FastBatchEngine
@@ -361,14 +364,11 @@ def test_auto_engine_policy_with_c_kernel(monkeypatch):
 
 
 def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
-    """The occupied-frontier cost model replaces the old flat 64-state cap:
-    a 4-state protocol crosses over later than a 2-state one, and above the
+    """Without the count kernel the occupied-frontier cost model decides: a
+    4-state protocol crosses over later than a 2-state one, and above the
     force threshold count-capability alone decides (per-agent construction
-    is the binding constraint there, not throughput).  The model is
-    count-kernel-aware, so both tiers are pinned explicitly here: on the
-    NumPy tier a 4-state protocol stays on fastbatch at 3e6; with the
-    compiled count kernel its per-batch cost collapses and the same
-    protocol dispatches straight to count-batch."""
+    is the binding constraint there, not throughput).  With the count
+    kernel nothing is priced: an O(k) ``initial_counts`` is enough."""
     from repro.engine import dispatch
     from repro.engine.dispatch import _COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
@@ -381,17 +381,16 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     assert auto_engine(majority, 3 * 10**6) is FastBatchEngine
     big_majority = ExactMajority.for_population(10**7)
     assert auto_engine(big_majority, 10**7) is CountBatchEngine
-    # Kernel tier: the compiled count kernel's per-batch cost at 4 occupied
-    # states is negligible, so the same 3e6 instance goes to count-batch.
+    # Kernel tier: the same 3e6 instance goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
     assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
-    # GS18 declares initial_counts but no finite state space: not capable
-    # on either tier.
+    # GS18 declares initial_counts but no finite state space: count-batch
+    # with the kernel (its table grows lazily), fastbatch without it.
     from repro.protocols.gs18 import GS18LeaderElection
 
     gs18 = GS18LeaderElection.for_population(_COUNTBATCH_FORCE_N)
     assert count_capable(gs18, _COUNTBATCH_FORCE_N) is None
-    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is CountBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is FastBatchEngine
 
@@ -412,10 +411,9 @@ def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
     states = count_capable(protocol, _COUNTBATCH_FORCE_N)
     assert states is not None and states > 64  # beyond the old flat cap
     assert auto_engine(protocol, _COUNTBATCH_FORCE_N) is CountBatchEngine
-    # Below the force threshold the measured cost model is honest about the
-    # occupied frontier: on the NumPy tier this small closure's per-batch
-    # cost loses to the fast-batch C kernel, while the compiled count
-    # kernel's collapsed per-batch cost flips the same instance to
+    # Below the force threshold, on the NumPy tier this small closure's
+    # modelled per-batch cost loses to the fast-batch C kernel; with the
+    # compiled count kernel nothing is priced and the same instance goes to
     # count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(protocol, 10**7) is FastBatchEngine
