@@ -44,8 +44,8 @@ class BaseEngine(abc.ABC):
     """
 
     #: Whether the engine simulates the sequential model exactly.  Approximate
-    #: engines (``BatchEngine``) set this to ``False`` and must never be used
-    #: for correctness claims.
+    #: engines (``tauleap``, ``meanfield``) set this to ``False`` and must
+    #: never be used for correctness claims.
     exact: bool = True
 
     #: Scenario capability tags this engine supports, compared against

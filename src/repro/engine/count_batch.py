@@ -1,12 +1,13 @@
 """Exact-in-distribution batched simulation over state counts.
 
 :class:`CountBatchEngine` is the configuration-space engine the tentpole
-experiments at ``n = 10^7``–``10^8`` run on.  Like
-:class:`~repro.engine.count_engine.CountEngine` it stores only the state
-counts (``O(k)`` memory — no per-agent array, no ``O(n)`` construction), but
-instead of sampling one ordered pair per step it processes interactions in
-*collision-free runs* of expected length ``Θ(sqrt(n))``, in the style of
-Berenbrink et al.'s batched population-protocol simulation (see PAPERS.md).
+experiments at ``n = 10^7``–``10^8`` run on.  Agents are anonymous, so the
+multiset of states is a sufficient statistic: the engine stores only the
+state counts (``O(k)`` memory — no per-agent array, no ``O(n)``
+construction).  Instead of sampling one ordered pair per step it
+processes interactions in *collision-free runs* of expected length
+``Θ(sqrt(n))``, in the style of Berenbrink et al.'s batched
+population-protocol simulation (see PAPERS.md).
 Per-run work follows the *occupied* state frontier ``k`` — quadratic scalar
 hypergeometric splits while ``k`` is small, one compacted vectorised split
 per pairing row beyond ``_MVH_SCALAR_MAX_OCCUPIED`` — so the
@@ -46,8 +47,8 @@ exact, and each run can be sampled configuration-level:
    multiset ``counts_before - H``.  The ordered pair falls in category
    (used, fresh), (fresh, used) or (used, used) with weights ``uf``, ``fu``
    and ``u(u-1)``, and the two states are drawn from the corresponding
-   multisets (without replacement within the used pool), exactly as
-   ``CountEngine`` draws its ordered pairs.
+   multisets (without replacement within the used pool) by
+   :func:`sample_weighted_index`.
 
 The KS distributional-equivalence suite (``tests/test_engine_equivalence.py``)
 pins this engine against :class:`SequentialEngine` on the epidemic,
@@ -62,6 +63,7 @@ function of.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +75,6 @@ from repro.engine._count_kernel import (
     seed_kernel_rng,
 )
 from repro.engine.base import BaseEngine
-from repro.engine.count_engine import initial_count_items, sample_weighted_index
 from repro.engine.cpus import resolve_kernel_threads
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
@@ -83,7 +84,9 @@ __all__ = [
     "CountBatchEngine",
     "MAX_EXACT_N",
     "ReplicatedCountBatchEngine",
+    "initial_count_items",
     "replicated_engine",
+    "sample_weighted_index",
 ]
 
 #: Survival-curve truncation: beyond ``_SURVIVAL_SPAN * sqrt(n)`` pairs the
@@ -124,6 +127,90 @@ _NUMPY_HYPERGEOMETRIC_CAP = 10**9
 #: decompositions sample the *same* distribution (chain rule), so the switch
 #: is invisible to every statistic; only the raw RNG stream differs.
 _MVH_SCALAR_MAX_OCCUPIED = 12
+
+#: Population size from which falling back to ``initial_configuration`` is an
+#: error rather than a slow path: the fallback walks an O(n) sequence, which
+#: at 10^7+ agents means multi-GB transient allocations inside engines whose
+#: selling point is O(k) memory.  Protocols must declare ``initial_counts``
+#: to run at this scale.
+_COUNTS_REQUIRED_MIN_N = 10**7
+
+
+def sample_weighted_index(weights, target: float, exclude: int = -1) -> int:
+    """Index into ``weights`` sampled proportionally to the weights.
+
+    ``target`` is a uniform deviate pre-scaled by the total weight;
+    ``exclude`` removes one unit of that index from the pool (how the second
+    member of an ordered pair is drawn without replacement).
+    :class:`CountBatchEngine` draws its colliding interaction with it.
+    Falls back to the last index with mass on floating point slack.
+    """
+    acc = 0.0
+    last = -1
+    for index, weight in enumerate(weights):
+        effective = weight - 1 if index == exclude else weight
+        if effective <= 0:
+            continue
+        last = index
+        acc += effective
+        if target < acc:
+            return index
+    return last
+
+
+def initial_count_items(
+    protocol: PopulationProtocol, n: int
+) -> List[Tuple[object, int]]:
+    """``(state, count)`` pairs of the initial configuration, in order.
+
+    Prefers the protocol's ``O(k)``-memory :meth:`initial_counts` hook and
+    falls back to run-length encoding :meth:`initial_configuration`.  The
+    fallback *streams* the configuration through :func:`itertools.groupby`
+    — no intermediate copy is built here, and a protocol whose
+    ``initial_configuration`` returns a lazy iterable is consumed in O(k)
+    memory (``k`` runs of equal states).  At ``n >= 10^7`` the fallback is
+    refused outright with a :class:`ProtocolError` naming the fix (declare
+    ``initial_counts``): the stock implementations return O(n) lists, and
+    whether a particular override would stream lazily cannot be known
+    without *invoking* it — at which point a list-returning protocol has
+    already allocated the gigabytes this guard exists to prevent.
+    """
+    counts = protocol.initial_counts(n)
+    if counts is not None:
+        items = list(counts.items())
+        total = sum(count for _, count in items)
+        if total != n or any(count < 0 for _, count in items):
+            raise ProtocolError(
+                f"initial_counts of protocol {protocol.name!r} sums to {total} "
+                f"with population size {n} (counts must be non-negative and "
+                "sum to n)"
+            )
+        return [(state, int(count)) for state, count in items if count]
+    if n >= _COUNTS_REQUIRED_MIN_N:
+        raise ProtocolError(
+            f"protocol {protocol.name!r} declares no initial_counts; the "
+            f"initial_configuration fallback is refused at n={n} (stock "
+            "implementations materialise an O(n) list, and checking for a "
+            "lazy override would already invoke it) — implement "
+            "initial_counts (the O(k) {state: count} form of the initial "
+            "configuration) to simulate populations of 10^7 and beyond"
+        )
+    configuration = protocol.initial_configuration(n)
+    if hasattr(configuration, "__len__"):
+        # Sized configurations keep the protocol's validate_configuration
+        # hook (subclasses may enforce extra invariants there); lazy
+        # iterables skip it — their length is validated from the stream.
+        protocol.validate_configuration(configuration, n)
+    items = [
+        (state, sum(1 for _ in run)) for state, run in groupby(configuration)
+    ]
+    total = sum(count for _, count in items)
+    if total != n:
+        raise ProtocolError(
+            f"initial configuration of protocol {protocol.name!r} has length "
+            f"{total}, expected n={n}"
+        )
+    return items
 
 
 def _logfactorial(k: int) -> float:
@@ -221,7 +308,7 @@ class CountBatchEngine(BaseEngine):
         take over) — the engine shines for small-frontier protocols at huge
         ``n``.  At ``n >= 10^7`` the protocol must declare ``initial_counts``
         (the O(n) configuration fallback is refused, see
-        :func:`~repro.engine.count_engine.initial_count_items`).
+        :func:`initial_count_items`).
     n:
         Population size (``2 <= n <= MAX_EXACT_N``).
     rng:

@@ -29,15 +29,6 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   cost model decides below ``COUNTBATCH_FORCE_N`` and count-capability
   alone above it — the per-agent engines' ``O(n)`` arrays and construction
   loops stop being viable long before ``10^8``.
-* ``CountEngine`` — exact, ``O(k)`` memory, one ordered pair per step.
-  Never the throughput winner; kept as the easiest-to-audit
-  configuration-level reference and never auto-selected (count-batch
-  dominates it wherever counts help).
-* ``BatchEngine`` — **approximate** multinomial batching, superseded by
-  ``CountBatchEngine`` for large-n exploration.  Never auto-selected, and
-  constructing it (by name or by class) emits a :class:`FutureWarning`;
-  it survives as the ablation baseline quantifying what giving up
-  exactness would buy.
 
 The approximate tier (never auto-selected)
 ==========================================
@@ -113,9 +104,7 @@ from typing import Dict, Optional, Type, Union
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import _MVH_SCALAR_MAX_OCCUPIED, CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
@@ -128,11 +117,13 @@ __all__ = [
     "ENGINE_REGISTRY",
     "ENGINE_NAMES",
     "EngineSpec",
+    "REMOVED_ENGINES",
     "auto_engine",
     "canonical_name",
     "count_capable",
     "countbatch_batch_seconds",
     "releases_gil",
+    "removed_engine_message",
     "replica_capable",
     "resolve_engine",
     "scenario_capable",
@@ -142,13 +133,16 @@ __all__ = [
 #: Named engines accepted everywhere an engine specification is taken.
 ENGINE_REGISTRY: Dict[str, Type[BaseEngine]] = {
     "sequential": SequentialEngine,
-    "count": CountEngine,
     "countbatch": CountBatchEngine,
-    "batch": BatchEngine,
     "fastbatch": FastBatchEngine,
     "meanfield": MeanFieldEngine,
     "tauleap": TauLeapEngine,
 }
+
+#: Engine names that were removed, mapped to the engine that replaces each.
+#: The names still reach the program from outside it (CLI flags, configs,
+#: stores, checkpoints), so they are refused with the replacement named.
+REMOVED_ENGINES: Dict[str, str] = {"count": "countbatch", "batch": "tauleap"}
 
 #: Registry names plus the ``"auto"`` policy, for CLI choices and validation.
 ENGINE_NAMES = tuple(sorted(ENGINE_REGISTRY)) + ("auto",)
@@ -185,9 +179,6 @@ _COUNTBATCH_MIN_N = 3_000_000
 #: Public: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is
 #: defined as this threshold — the size from which the closure pays off.
 COUNTBATCH_FORCE_N = 30_000_000
-
-#: Backwards-compatible internal alias.
-_COUNTBATCH_FORCE_N = COUNTBATCH_FORCE_N
 
 #: No-kernel count dispatch requires the declared state space to fit a sane
 #: packed transition LUT: the table allocates an (k x k) int64 array, which
@@ -367,7 +358,7 @@ def _countbatch_without_kernel(protocol: PopulationProtocol, n: int) -> bool:
     """
     hint = protocol.occupied_states_hint()
     worth_probing = (
-        n >= _COUNTBATCH_FORCE_N
+        n >= COUNTBATCH_FORCE_N
         or hint is None
         or _countbatch_profitable(hint, n)
     )
@@ -376,7 +367,7 @@ def _countbatch_without_kernel(protocol: PopulationProtocol, n: int) -> bool:
     states = count_capable(protocol, n)
     if states is None:
         return False
-    if n >= _COUNTBATCH_FORCE_N:
+    if n >= COUNTBATCH_FORCE_N:
         return True
     occupied = states if hint is None else min(states, hint)
     return _countbatch_profitable(occupied, n)
@@ -454,6 +445,14 @@ def resolve_engine(
     return resolved
 
 
+def removed_engine_message(name: str) -> str:
+    """Error text for a removed engine ``name``, naming its replacement."""
+    return (
+        f"engine {name!r} has been removed; use {REMOVED_ENGINES[name]!r} "
+        "instead"
+    )
+
+
 def canonical_name(engine_cls: Type[BaseEngine]) -> str:
     """Registry name of ``engine_cls`` (falls back to the class name)."""
     for name, cls in ENGINE_REGISTRY.items():
@@ -480,13 +479,11 @@ def _resolve_engine_spec(
                     "engine='auto' needs a protocol and a population size to dispatch on"
                 )
             return auto_engine(protocol, n, scenario)
-        # NOTE: the 'batch' deprecation FutureWarning is emitted by
-        # BatchEngine.__init__ itself, so every entry point — string lookup
-        # here, direct class use, engine_cls= keyword — sees it exactly
-        # where the approximate engine is actually instantiated.
         try:
             return ENGINE_REGISTRY[name]
         except KeyError:
+            if name in REMOVED_ENGINES:
+                raise ConfigurationError(removed_engine_message(name)) from None
             valid = ", ".join(repr(choice) for choice in ENGINE_NAMES)
             close = difflib.get_close_matches(name, ENGINE_NAMES, n=1)
             hint = f" (did you mean {close[0]!r}?)" if close else ""

@@ -123,10 +123,10 @@ class PopulationProtocol(abc.ABC):
     def initial_counts(self, n: int) -> Optional[Dict[State, int]]:
         """Optional ``{state: count}`` form of the initial configuration.
 
-        Configuration-level engines (``CountEngine``, ``CountBatchEngine``)
-        prefer this hook because it needs ``O(k)`` memory instead of the
-        ``O(n)`` list built by :meth:`initial_configuration` — the difference
-        between fitting ``n = 10^8`` in a few kilobytes and allocating
+        Configuration-level engines (``CountBatchEngine``,
+        ``TauLeapEngine``, ``MeanFieldEngine``) prefer this hook because it
+        needs ``O(k)`` memory instead of the ``O(n)`` list built by
+        :meth:`initial_configuration` — the difference between fitting ``n = 10^8`` in a few kilobytes and allocating
         gigabytes.  The default ``None`` makes those engines fall back to
         :meth:`initial_configuration` (refused outright at ``n >= 10^7``,
         where the fallback would silently allocate gigabytes).  Counts must

@@ -47,6 +47,7 @@ equality above pins down.
 
 from __future__ import annotations
 
+import importlib
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +55,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.engine.base import BaseEngine
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
-from repro.engine.dispatch import ENGINE_REGISTRY, EngineSpec, resolve_engine
+from repro.engine.dispatch import (
+    ENGINE_REGISTRY,
+    REMOVED_ENGINES,
+    EngineSpec,
+    removed_engine_message,
+    resolve_engine,
+)
 from repro.engine.engine import SequentialEngine
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.recorder import Recorder
@@ -63,6 +70,38 @@ from repro.errors import CheckpointError, ConfigurationError, ConvergenceError
 from repro.types import State
 
 __all__ = ["RunResult", "Simulation", "run_protocol"]
+
+
+def _checkpoint_engine_class(spec) -> type:
+    """Engine class recorded in a checkpoint, or :class:`CheckpointError`.
+
+    :meth:`Simulation.checkpoint_payload` records a registry name, or
+    ``module:qualname`` for an engine class outside the registry.
+    """
+    if spec in ENGINE_REGISTRY:
+        return ENGINE_REGISTRY[spec]
+    if spec in REMOVED_ENGINES:
+        raise CheckpointError(
+            f"checkpoint cannot be resumed: {removed_engine_message(spec)} "
+            "and start a new run"
+        )
+    module_name, colon, qualname = str(spec).partition(":")
+    engine_cls = None
+    if module_name and colon and qualname:
+        try:
+            engine_cls = importlib.import_module(module_name)
+            for attr in qualname.split("."):
+                engine_cls = getattr(engine_cls, attr)
+        except (ImportError, AttributeError):
+            engine_cls = None
+    if not (isinstance(engine_cls, type) and issubclass(engine_cls, BaseEngine)):
+        raise CheckpointError(
+            f"checkpoint names engine {spec!r}, which is neither a registry "
+            f"name ({', '.join(sorted(ENGINE_REGISTRY))}) nor an importable "
+            "'module:qualname' engine class"
+        )
+    return engine_cls
+
 
 #: A run's convergence-check cadence: an interaction period, ``"auto"`` for
 #: the adaptive geometric back-off, or ``None`` for the default (``n``).
@@ -424,14 +463,7 @@ class Simulation:
                 "trajectory — reconstruct the protocol with the original "
                 "parameters"
             )
-        spec = checkpoint["engine_cls"]
-        if spec in ENGINE_REGISTRY:
-            engine_cls = ENGINE_REGISTRY[spec]
-        else:  # pragma: no cover - custom engine classes
-            import importlib
-
-            module_name, _, qualname = spec.partition(":")
-            engine_cls = getattr(importlib.import_module(module_name), qualname)
+        engine_cls = _checkpoint_engine_class(checkpoint["engine_cls"])
         if engine_kwargs is None:
             engine_kwargs = checkpoint.get("engine_kwargs") or {}
         # The recorded scenario is authoritative for reconstruction; a
@@ -706,12 +738,10 @@ def run_protocol(
     recorders:
         Observers invoked at every convergence check point.
     engine_cls:
-        An engine class, a registry name (``"sequential"``, ``"count"``,
-        ``"countbatch"``, ``"fastbatch"``, ``"batch"``) or ``"auto"`` to
-        dispatch on ``(protocol, n)`` — see :mod:`repro.engine.dispatch`.
-        For ``n >= 10^7`` population sizes use ``"countbatch"`` (or
-        ``"auto"``): it is exact in distribution, needs ``O(k)`` memory,
-        and beats the C kernel's throughput there.
+        An engine class, a registry name (``"sequential"``,
+        ``"fastbatch"``, ``"countbatch"``, ``"tauleap"``, ``"meanfield"``)
+        or ``"auto"`` to dispatch on ``(protocol, n)`` — see
+        :mod:`repro.engine.dispatch`.
     engine_kwargs:
         Extra engine-constructor keywords (e.g. ``{"kernel": "numpy"}``).
     check_every:

@@ -30,7 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from repro.engine.dispatch import ENGINE_NAMES
+from repro.engine.dispatch import (
+    ENGINE_NAMES,
+    REMOVED_ENGINES,
+    removed_engine_message,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["ExperimentConfig"]
@@ -84,6 +88,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"max_parallel_time must be positive, got {self.max_parallel_time}"
             )
+        if self.engine in REMOVED_ENGINES:
+            raise ConfigurationError(removed_engine_message(self.engine))
         if self.engine not in ENGINE_NAMES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"

@@ -1,6 +1,6 @@
 """Cross-engine distributional equivalence tests (exact tier).
 
-The four exact engines — :class:`SequentialEngine`, :class:`CountEngine`,
+The three exact engines — :class:`SequentialEngine`,
 :class:`FastBatchEngine` and :class:`CountBatchEngine` — implement the same
 probabilistic model with different data structures, so the *distribution* of
 any run statistic must agree across them.  The tests here pin that down on
@@ -42,12 +42,14 @@ import pytest
 from repro.analysis.accuracy import WORKLOADS, convergence_sample
 from repro.analysis.stats import ks_two_sample, quantile_profile_distance
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.protocols.epidemic import OneWayEpidemic
 
-EXACT_ENGINES = (SequentialEngine, CountEngine, FastBatchEngine, CountBatchEngine)
+#: Exact engine -> index of its seed range.  Disjoint ranges keep the
+#: samples independent; these are the ranges the slow suite's KS thresholds
+#: were checked at.
+EXACT_ENGINES = {SequentialEngine: 0, FastBatchEngine: 2, CountBatchEngine: 3}
 
 #: The workloads every exact engine must agree on (all count-capable).
 EXACT_WORKLOADS = (
@@ -58,7 +60,7 @@ EXACT_WORKLOADS = (
     "gsu19-closure",
 )
 
-#: Engine -> seed offset; disjoint ranges keep the samples independent.
+#: Width of one engine's seed range.
 _SEED_STRIDE = 100_000
 
 
@@ -70,7 +72,7 @@ def _samples_by_engine(workload: str, n: int, repetitions: int) -> Dict[str, Lis
             n,
             range(index * _SEED_STRIDE, index * _SEED_STRIDE + repetitions),
         )
-        for index, engine_cls in enumerate(EXACT_ENGINES)
+        for engine_cls, index in EXACT_ENGINES.items()
     }
 
 

@@ -23,9 +23,7 @@ from repro.engine import (
     run_protocol,
 )
 from repro.engine._ckernel import kernel_available
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.dispatch import _FASTBATCH_MIN_N
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import (
@@ -370,7 +368,7 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     is the binding constraint there, not throughput).  With the count
     kernel nothing is priced: an O(k) ``initial_counts`` is enough."""
     from repro.engine import dispatch
-    from repro.engine.dispatch import _COUNTBATCH_FORCE_N, count_capable
+    from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
 
     # NumPy tier: 4 states is ~4x the epidemic's per-batch cost, pushing
@@ -388,11 +386,11 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     # with the kernel (its table grows lazily), fastbatch without it.
     from repro.protocols.gs18 import GS18LeaderElection
 
-    gs18 = GS18LeaderElection.for_population(_COUNTBATCH_FORCE_N)
-    assert count_capable(gs18, _COUNTBATCH_FORCE_N) is None
-    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is CountBatchEngine
+    gs18 = GS18LeaderElection.for_population(COUNTBATCH_FORCE_N)
+    assert count_capable(gs18, COUNTBATCH_FORCE_N) is None
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
-    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
 
 
 def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
@@ -403,14 +401,14 @@ def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
     (test_engine_closure.py)."""
     from repro.core.params import GSUParams
     from repro.engine import dispatch
-    from repro.engine.dispatch import _COUNTBATCH_FORCE_N, count_capable
+    from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
 
     protocol = GSULeaderElection(
-        GSUParams(n_hint=_COUNTBATCH_FORCE_N, gamma=4, phi=1, psi=1)
+        GSUParams(n_hint=COUNTBATCH_FORCE_N, gamma=4, phi=1, psi=1)
     )
-    states = count_capable(protocol, _COUNTBATCH_FORCE_N)
+    states = count_capable(protocol, COUNTBATCH_FORCE_N)
     assert states is not None and states > 64  # beyond the old flat cap
-    assert auto_engine(protocol, _COUNTBATCH_FORCE_N) is CountBatchEngine
+    assert auto_engine(protocol, COUNTBATCH_FORCE_N) is CountBatchEngine
     # Below the force threshold, on the NumPy tier this small closure's
     # modelled per-batch cost loses to the fast-batch C kernel; with the
     # compiled count kernel nothing is priced and the same instance goes to
@@ -426,12 +424,8 @@ def test_resolve_engine_accepts_names_classes_and_none():
     assert resolve_engine(None) is SequentialEngine
     assert resolve_engine("sequential") is SequentialEngine
     assert resolve_engine("FASTBATCH") is FastBatchEngine
-    assert resolve_engine("count") is CountEngine
     assert resolve_engine("countbatch") is CountBatchEngine
-    # Resolution is silent for every spelling; the FutureWarning now lives
-    # on BatchEngine.__init__ so direct class use sees it too.
-    assert resolve_engine("batch") is BatchEngine
-    assert resolve_engine(BatchEngine) is BatchEngine
+    assert resolve_engine(CountBatchEngine) is CountBatchEngine
     assert resolve_engine("auto", epidemic, 64) is SequentialEngine
     with pytest.raises(ConfigurationError):
         resolve_engine("auto")  # needs protocol and n
@@ -441,16 +435,28 @@ def test_resolve_engine_accepts_names_classes_and_none():
         resolve_engine(42)
 
 
-def test_batch_engine_warns_on_every_construction_path(recwarn):
-    """Both entry points — registry name and direct class — construct the
-    same warning-emitting engine; resolution itself stays silent."""
-    assert resolve_engine("batch") is BatchEngine
-    assert resolve_engine(BatchEngine) is BatchEngine
-    assert not [w for w in recwarn.list if issubclass(w.category, FutureWarning)]
-    with pytest.warns(FutureWarning, match="superseded by CountBatchEngine"):
-        resolve_engine("batch")(OneWayEpidemic(), 16, rng=0)
-    with pytest.warns(FutureWarning, match="superseded by CountBatchEngine"):
-        BatchEngine(OneWayEpidemic(), 16, rng=0)
+@pytest.mark.parametrize(
+    ("name", "replacement"), [("count", "countbatch"), ("batch", "tauleap")]
+)
+def test_removed_engine_names_are_refused_with_their_replacement(
+    name, replacement
+):
+    """The removed ``count`` and ``batch`` engines still arrive by name from
+    outside the program; every entry point refuses them, naming the
+    replacement, and the CLI exits non-zero."""
+    from repro.cli import main
+    from repro.experiments.config import ExperimentConfig
+
+    match = f"{name!r} has been removed; use {replacement!r}"
+    with pytest.raises(ConfigurationError, match=match):
+        resolve_engine(name)
+    with pytest.raises(ConfigurationError, match=match):
+        run_protocol(OneWayEpidemic(), 16, seed=0, engine_cls=name)
+    with pytest.raises(ConfigurationError, match=match):
+        ExperimentConfig(engine=name)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "lemma41", "--preset", "smoke", "--engine", name])
+    assert excinfo.value.code != 0
 
 
 def test_kernel_cache_dir_resolution(monkeypatch, tmp_path):
@@ -474,10 +480,14 @@ def test_kernel_cache_dir_resolution(monkeypatch, tmp_path):
 
 
 def test_registry_and_names_are_consistent():
+    assert set(ENGINE_REGISTRY) == {
+        "sequential", "fastbatch", "countbatch", "tauleap", "meanfield"
+    }
     assert set(ENGINE_NAMES) == set(ENGINE_REGISTRY) | {"auto"}
     for name, engine_cls in ENGINE_REGISTRY.items():
         assert resolve_engine(name) is engine_cls
-    # The dispatcher never selects the approximate engine.
-    assert BatchEngine not in {
-        auto_engine(OneWayEpidemic(), n) for n in (64, 10**4, 10**6, 1 << 28)
-    }
+    # The dispatcher never selects an approximate engine.
+    assert all(
+        auto_engine(OneWayEpidemic(), n).exact
+        for n in (64, 10**4, 10**6, 1 << 28)
+    )

@@ -28,7 +28,6 @@ import pytest
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
@@ -44,11 +43,11 @@ _SEED = 20190622
 _CHUNKS = 3
 
 #: protocol name -> (factory, n).  Fresh protocol per run: identifier layout
-#: of lazily discovered states (and hence count-engine trajectories) depends
+#: of lazily discovered states (and hence count-batch trajectories) depends
 #: on the shared table's compilation history.  "gsu19-closure" pins the
 #: closure-registered layout (count-batch-scale n_hint, tiny calibration so
 #: the BFS is sub-second): identifiers come from the deterministic BFS
-#: discovery order, making the count-engine rows machine-independent even
+#: discovery order, making the count-batch rows machine-independent even
 #: though the engine runs at a small n here.
 PROTOCOLS = {
     "epidemic": (lambda: OneWayEpidemic(), 256),
@@ -79,7 +78,6 @@ def _countbatch_python(protocol, n, rng=None):
 
 ENGINES = {
     "sequential": SequentialEngine,
-    "count": CountEngine,
     "countbatch": _countbatch_python,
     "fastbatch": FastBatchEngine,
     "fastbatch-numpy": _fastbatch_numpy,
@@ -89,46 +87,38 @@ ENGINES = {
 #: bit-for-bit identical-trajectory guarantee, not an accident.  The
 #: "gsu19-closure" sequential-family pins coincide with "gsu19" because the
 #: digest window (6 parallel-time units) ends before any clock phase reaches
-#: 2, where the two calibrations first diverge; the count-engine pins differ
+#: 2, where the two calibrations first diverge; the count-batch pins differ
 #: because the closure-registered identifier layout (BFS order) replaces the
 #: lazy discovery order.
 EXPECTED = {
-    "epidemic/count": "98c6e8eb1b9b1140c414b83aced5c5a49abe3e452d78b11f0c747c319e979bb8",
     "epidemic/countbatch": "b96cd061b46bc019f8761d17318c2463b1a71818c182047ac7455a7982c88082",
     "epidemic/fastbatch": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
     "epidemic/fastbatch-numpy": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
     "epidemic/sequential": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
-    "exact-majority/count": "d63fb57f56bb82a8ccecdc441b208cb5c72fa804bd84b1c248d9fc7272d2ac4c",
     "exact-majority/countbatch": "2f29773af059bf46e8487480343a4ccfa7604aa40b91da8a4929e97a1c99d171",
     "exact-majority/fastbatch": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
     "exact-majority/fastbatch-numpy": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
     "exact-majority/sequential": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
-    "gs18/count": "3371932f9425688fb3bded68ac75f7a69e46467880c0f09e6760d69474caa4bf",
     "gs18/countbatch": "8d6748a605700caffef178ca200d154af57e62cec7c7d90858a137862fe5f977",
     "gs18/fastbatch": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
     "gs18/fastbatch-numpy": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
     "gs18/sequential": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
-    "gsu19/count": "d5ff0caf0cd2e01eed7309947e36bc3e21c27fba498fbdc1239aea22415d8382",
     "gsu19/countbatch": "0d4aed97e0cec4966664c74436d316162a7aa1616175ae5d161f4102bffd2770",
     "gsu19/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
-    "gsu19-closure/count": "dad56554449ad1c32b24e8831f55635b30c946de13d8a609b36341a6c1852d06",
     "gsu19-closure/countbatch": "80c1f878a63a4a11f162699bc21b86b5f2872e1caf5b224e1892870d4fb3f1fb",
     "gsu19-closure/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
-    "lottery/count": "b8d7756a7b04ed5259bc62500187200ca574ced1665127a7d80a2e5fdff214fb",
     "lottery/countbatch": "18c9abb08d30566671f360e1542ffa430501587cdd6198efee8a430d9a5ff4b7",
     "lottery/fastbatch": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
     "lottery/fastbatch-numpy": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
     "lottery/sequential": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
-    "majority/count": "fe1820ccbbc45b1249bfb349475cd09111975d1d0b4d4abddf5572a804826100",
     "majority/countbatch": "13fb2bfec03a927ba86872884adfd445b50361fad7135799dd4a413363751aa8",
     "majority/fastbatch": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
     "majority/fastbatch-numpy": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
     "majority/sequential": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
-    "slow-le/count": "78d472526e83be302a806b26949bd7bb86daf86d4273afe087b4f36089ba196e",
     "slow-le/countbatch": "bc5df660226bed0c1b88dfbb60f3099cd635c9c7464d536476f95257bcc535cd",
     "slow-le/fastbatch": "8307ba47134c14665ac938db3c24b798f1626dbfdcb84a893c531a0b4bcb137d",
     "slow-le/fastbatch-numpy": "8307ba47134c14665ac938db3c24b798f1626dbfdcb84a893c531a0b4bcb137d",
