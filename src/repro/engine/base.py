@@ -5,7 +5,8 @@ population is represented (per-agent array vs. state counts): the compiled
 :class:`~repro.engine.table.TransitionTable` obtained from
 ``protocol.compile()``, ever-occupied state tracking, count bookkeeping
 helpers, the ``run``/``run_until`` drivers, and convergence-friendly
-accessors.
+accessors.  :func:`drive` is the one check-and-chunk loop every run goes
+through, with one :class:`Cadence` per row.
 
 Transition and output memoisation live in the shared table, **not** in the
 engines: every engine built on the same protocol instance consumes the same
@@ -17,7 +18,8 @@ C kernel alike.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple
+import operator
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from repro.engine.rng import RngLike
 from repro.errors import CheckpointError, ConfigurationError
 from repro.types import State
 
-__all__ = ["BaseEngine", "SNAPSHOT_VERSION"]
+__all__ = ["BaseEngine", "Cadence", "SNAPSHOT_VERSION", "drive"]
 
 #: Version stamp embedded in every engine snapshot.  Bump when the snapshot
 #: layout changes incompatibly; :meth:`BaseEngine.restore` refuses snapshots
@@ -332,7 +334,7 @@ class BaseEngine(abc.ABC):
         predicate: Callable[["BaseEngine"], bool],
         *,
         max_interactions: int,
-        check_every: Optional[int] = None,
+        check_every: Optional[Union[int, str]] = None,
         on_check: Optional[Callable[["BaseEngine"], None]] = None,
     ) -> bool:
         """Run until ``predicate(engine)`` holds or a budget is exhausted.
@@ -344,7 +346,9 @@ class BaseEngine(abc.ABC):
         max_interactions:
             Hard budget counted from the engine's *current* interaction count.
         check_every:
-            Evaluation period; defaults to ``n`` (once per parallel-time unit).
+            Evaluation period; defaults to ``n`` (once per parallel-time
+            unit).  ``"auto"`` selects the adaptive cadence (see
+            :class:`Cadence`).
         on_check:
             Optional observer invoked at every evaluation point (recorders).
 
@@ -353,26 +357,127 @@ class BaseEngine(abc.ABC):
         bool
             ``True`` if the predicate held at some evaluation point.
         """
-        if check_every is None:
-            check_every = self.n
-        if check_every <= 0:
-            raise ConfigurationError(f"check_every must be positive, got {check_every}")
-        deadline = self.interactions + int(max_interactions)
-        if on_check is not None:
-            on_check(self)
-        if predicate(self):
-            return True
-        while self.interactions < deadline:
-            chunk = min(check_every, deadline - self.interactions)
-            self._perform_steps(chunk)
-            if on_check is not None:
-                on_check(self)
-            if predicate(self):
-                return True
-        return False
+        (converged,) = drive(
+            [self],
+            [predicate],
+            [Cadence(check_every, self.n)],
+            max_interactions,
+            lambda chunks: self._perform_steps(chunks[0]),
+            on_check,
+        )
+        return converged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<{type(self).__name__} protocol={self.protocol.name!r} n={self.n} "
             f"interactions={self.interactions}>"
         )
+
+
+class Cadence:
+    """One row's convergence-check cadence: a fixed period or adaptive.
+
+    ``check_every`` is a positive interaction period (anything
+    :func:`operator.index` accepts), ``None`` for the default ``n``, or
+    ``"auto"`` for the adaptive controller.  Adaptive checks start every
+    ``n // 4`` interactions; the period doubles (capped at ``4 n``, which
+    bounds the detection lag) after each check whose ``counts_by_output()``
+    equals the previous one, and snaps back to ``n // 4`` when it changes.
+    Anything else raises :class:`~repro.errors.ConfigurationError`.
+    ``state`` resumes an adaptive controller from a checkpoint's
+    :meth:`state`; fixed cadences ignore it.
+    """
+
+    def __init__(
+        self, check_every: Optional[Union[int, str]], n: int, state: Optional[dict] = None
+    ) -> None:
+        self.adaptive = isinstance(check_every, str) and check_every == "auto"
+        if check_every is not None and not self.adaptive:
+            try:
+                period = operator.index(check_every)
+            except TypeError:
+                period = 0
+            if period <= 0:
+                raise ConfigurationError(
+                    f"check_every must be a positive integer interaction "
+                    f"period or 'auto', got {check_every!r}"
+                )
+            check_every = period
+        #: The normalised setting: ``None``, a Python ``int`` or ``"auto"``.
+        self.check_every = check_every
+        #: Whether the chunk that reached this check was not budget-clipped.
+        #: Only such checks lie on every longer run's trajectory too.
+        self.aligned = True
+        self.signature: Optional[Dict[str, int]] = None
+        if not self.adaptive:
+            self.period = int(n) if check_every is None else check_every
+        else:
+            self.base = self.period = max(1, int(n) // 4)
+            self.cap = max(self.base, 4 * int(n))
+            if state is not None:
+                self.period = int(state["period"])
+                signature = state.get("signature")
+                self.signature = None if signature is None else dict(signature)
+
+    def update(self, engine: BaseEngine) -> None:
+        """Choose the next period after a check that did not converge."""
+        if not self.adaptive:
+            return
+        current = engine.counts_by_output()
+        if current == self.signature:
+            self.period = min(2 * self.period, self.cap)
+        else:
+            self.signature = current
+            self.period = self.base
+
+    def state(self) -> Optional[dict]:
+        """The adaptive controller as checkpoints record it (``None`` if fixed)."""
+        if not self.adaptive:
+            return None
+        signature = None if self.signature is None else dict(self.signature)
+        return {"period": int(self.period), "signature": signature}
+
+
+def drive(
+    rows: Sequence[BaseEngine],
+    predicates: Sequence[Callable[[BaseEngine], bool]],
+    cadences: Sequence[Cadence],
+    budget: int,
+    advance: Callable[[List[int]], None],
+    on_check: Optional[Callable[[BaseEngine], None]] = None,
+) -> List[bool]:
+    """Run every row until its predicate holds or ``budget`` is spent.
+
+    The one check-and-chunk loop of the package; a scalar run is one row.
+    Each row has a check point at its starting position and after every
+    chunk.  A check runs ``on_check(row)``, then ``predicates[r](row)``,
+    then the cadence update, then the deadline test (``budget``
+    interactions past the row's starting position).  Then one
+    ``advance(chunks)`` call moves every row still running by
+    ``min(period, remaining budget)`` interactions; finished rows get 0.
+
+    Returns, per row, whether its predicate held at some check point.
+    """
+    deadlines = [row.interactions + int(budget) for row in rows]
+    converged = [False] * len(rows)
+    due = range(len(rows))
+    while due:
+        chunks = [0] * len(rows)
+        running = []
+        for r in due:
+            row, cadence = rows[r], cadences[r]
+            if on_check is not None:
+                on_check(row)
+            if predicates[r](row):
+                converged[r] = True
+                continue
+            cadence.update(row)
+            remaining = deadlines[r] - row.interactions
+            if remaining > 0:
+                chunks[r] = min(cadence.period, remaining)
+                cadence.aligned = chunks[r] == cadence.period
+                running.append(r)
+        due = running
+        if due:
+            advance(chunks)
+    return converged

@@ -58,10 +58,12 @@ A work unit is normally one cell.  When several pending cells share
 R seeds as an (R, k) count matrix, paying protocol construction, the
 survival curve and the per-batch kernel transitions once per call instead
 of once per replica.  Mega-cells are sharded so every worker still gets
-one, and each row reproduces the scalar cell for its seed **bit-for-bit**
-(same chunk sequence, same RNG stream, same convergence checks), so
-grouping is invisible in the results and in the store — a sweep resumed on
-a machine that groups differently still reuses every cell.
+one.  They run the scalar driver (:func:`repro.engine.base.drive`) with
+one row per seed, so each row reproduces the scalar cell for its seed
+**bit-for-bit** (same chunk sequence, same RNG stream, same convergence
+checks, fixed or ``"auto"`` cadence), and grouping is invisible in the
+results and in the store — a sweep resumed on a machine that groups
+differently still reuses every cell.
 
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
@@ -113,6 +115,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.engine.base import Cadence, drive
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import (
@@ -122,7 +125,7 @@ from repro.engine.dispatch import (
     resolve_engine,
 )
 from repro.engine.rng import spawn_seeds
-from repro.engine.simulation import RunResult, run_protocol
+from repro.engine.simulation import RunResult, interaction_budget, run_protocol
 from repro.errors import ConfigurationError, ReproError, SweepError
 
 __all__ = ["SweepPoint", "available_cpus", "run_cells", "run_many"]
@@ -228,21 +231,19 @@ def _mega_run_options(run_kwargs: Dict[str, object]) -> Optional[tuple]:
     """``(check_every, engine_kwargs)`` when ``run_kwargs`` permits replica
     grouping, else ``None``.
 
-    Mega-cells replay :class:`~repro.engine.simulation.Simulation`'s
-    fixed-cadence drive loop row-wise; anything beyond that — recorders,
-    checkpointing, the adaptive ``"auto"`` cadence, ``raise_on_budget``,
-    engine keywords other than the kernel selector — keeps the cell on the
-    per-cell path, which supports everything.
+    Mega-cells run the same driver as a scalar run
+    (:func:`repro.engine.base.drive`), one row per seed, so any
+    ``check_every`` the scalar path accepts — a period or ``"auto"`` — is
+    groupable.  Recorders, checkpointing, ``raise_on_budget`` and engine
+    keywords other than the kernel selectors keep the cell on the per-cell
+    path, which supports everything.
     """
     if set(run_kwargs) - {"check_every", "engine_kwargs"}:
         return None
-    check_every = run_kwargs.get("check_every")
-    if check_every is not None and not isinstance(check_every, int):
-        return None  # "auto": per-row adaptive cadences are not grouped
     engine_kwargs = dict(run_kwargs.get("engine_kwargs") or {})
     if set(engine_kwargs) - {"kernel", "kernel_threads"}:
         return None
-    return check_every, engine_kwargs
+    return run_kwargs.get("check_every"), engine_kwargs
 
 
 def _groupable(factory: ProtocolFactory, n: int, engine: EngineSpec) -> bool:
@@ -297,14 +298,12 @@ def _run_replicated(
 ) -> List[RunResult]:
     """Run one mega-cell: every seed as a row of a replicated engine.
 
-    Replays the scalar drive loop per row — budget ``round(mpt * n)``, a
-    convergence check at position 0 and after every
-    ``min(check_every, remaining budget)`` chunk, a fresh predicate per
-    row — so each row's trajectory, convergence decision and final
-    configuration are bit-identical to ``_run_single`` with that row's
-    seed.  Rows that converge (or exhaust their budget) get zero-budget
-    chunks from then on, which the replicated engine skips without
-    touching their RNG streams.
+    The rows go through the scalar run's driver with a fresh predicate and
+    cadence each, and rows that converge (or exhaust their budget) get
+    zero-budget chunks, which the replicated engine skips without touching
+    their RNG streams.  So each row's trajectory, convergence decision and
+    final configuration are bit-identical to ``_run_single`` with that
+    row's seed.
     """
     from repro.engine.count_batch import replicated_engine
 
@@ -312,14 +311,8 @@ def _run_replicated(
     if options is None:  # pragma: no cover - guarded by the planner
         raise ConfigurationError("cell options do not permit replica grouping")
     check_every, engine_kwargs = options
-    if check_every is not None and check_every <= 0:
-        raise ConfigurationError(
-            f"check_every must be positive, got {check_every}"
-        )
-    if max_parallel_time <= 0:
-        raise ConfigurationError(
-            f"max_parallel_time must be positive, got {max_parallel_time}"
-        )
+    budget = interaction_budget(max_parallel_time, n)
+    cadences = [Cadence(check_every, n) for _ in seeds]
     engine = replicated_engine(
         factory,
         n,
@@ -327,57 +320,22 @@ def _run_replicated(
         kernel=engine_kwargs.get("kernel", "auto"),
         kernel_threads=engine_kwargs.get("kernel_threads"),
     )
-    rows = engine.rows
     predicates: List[ConvergencePredicate] = []
-    for _ in rows:
-        predicate = (
-            convergence_factory(n) if convergence_factory is not None else None
-        )
-        if predicate is None:
-            predicate = SingleLeader()
+    for _ in engine.rows:
+        predicate = None if convergence_factory is None else convergence_factory(n)
+        predicate = predicate if predicate is not None else SingleLeader()
         predicate.reset()
         predicates.append(predicate)
-    period = int(check_every) if check_every is not None else int(n)
-    budget = int(round(max_parallel_time * n))
     started = _time.perf_counter()
-    deadlines = [row.interactions + budget for row in rows]
-    converged = [bool(predicate(row)) for predicate, row in zip(predicates, rows)]
-    active = [
-        not converged[r] and rows[r].interactions < deadlines[r]
-        for r in range(len(rows))
-    ]
-    while any(active):
-        chunks = [
-            min(period, deadlines[r] - rows[r].interactions) if active[r] else 0
-            for r in range(len(rows))
-        ]
-        engine.run_chunks(chunks)
-        for r, row in enumerate(rows):
-            if not active[r]:
-                continue
-            if predicates[r](row):
-                converged[r] = True
-                active[r] = False
-            elif row.interactions >= deadlines[r]:
-                active[r] = False
+    converged = drive(engine.rows, predicates, cadences, budget, engine.run_chunks)
     elapsed = _time.perf_counter() - started
+    # Rows share one wall clock; attribute it evenly (the field is for
+    # throughput reporting only and is not part of cell identity).
     return [
-        RunResult(
-            protocol_name=row.protocol.name,
-            n=int(n),
-            seed=seed,
-            converged=converged[r],
-            interactions=row.interactions,
-            parallel_time=row.parallel_time,
-            states_used=row.states_ever_occupied,
-            final_counts=row.state_counts(),
-            final_outputs=row.counts_by_output(),
-            # Rows share one wall clock; attribute it evenly (the field is
-            # for throughput reporting only and is not part of cell
-            # identity).
-            wall_clock_seconds=elapsed / len(rows),
+        RunResult.from_engine(
+            row, seed=seed, converged=done, wall_clock_seconds=elapsed / len(seeds)
         )
-        for r, (row, seed) in enumerate(zip(rows, seeds))
+        for row, seed, done in zip(engine.rows, seeds, converged)
     ]
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.engine.base import BaseEngine
+from repro.engine.base import BaseEngine, Cadence, drive
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.dispatch import (
     ENGINE_REGISTRY,
@@ -107,12 +107,14 @@ def _checkpoint_engine_class(spec) -> type:
 #: the adaptive geometric back-off, or ``None`` for the default (``n``).
 CheckEvery = Optional[Union[int, str]]
 
-#: Adaptive cadence: the first check runs after ``n // _AUTO_BASE_DIVISOR``
-#: interactions and the period doubles while the output census is
-#: unchanged, capped at ``_AUTO_MAX_UNITS * n`` interactions between checks
-#: (so convergence is detected within a bounded parallel-time lag).
-_AUTO_BASE_DIVISOR = 4
-_AUTO_MAX_UNITS = 4
+
+def interaction_budget(max_parallel_time: float, n: int) -> int:
+    """``round(max_parallel_time * n)``, rejecting a non-positive budget."""
+    if max_parallel_time <= 0:
+        raise ConfigurationError(
+            f"max_parallel_time must be positive, got {max_parallel_time}"
+        )
+    return int(round(max_parallel_time * n))
 
 
 @dataclass
@@ -166,6 +168,39 @@ class RunResult:
 
         return self.final_outputs.get(LEADER_OUTPUT, 0)
 
+    @classmethod
+    def from_engine(
+        cls,
+        engine: BaseEngine,
+        *,
+        seed: Optional[int],
+        converged: bool,
+        wall_clock_seconds: float = 0.0,
+        scenario=None,
+    ) -> "RunResult":
+        """The result of a run that stopped at ``engine``'s current state."""
+        metadata: Dict[str, object] = {}
+        if scenario is not None:
+            metadata["scenario"] = scenario.label()
+            counters = getattr(engine, "scenario_counters", None)
+            if counters is not None:
+                events = counters()
+                if events is not None:
+                    metadata["scenario_events"] = events
+        return cls(
+            protocol_name=engine.protocol.name,
+            n=engine.n,
+            seed=seed,
+            converged=converged,
+            interactions=engine.interactions,
+            parallel_time=engine.parallel_time,
+            states_used=engine.states_ever_occupied,
+            final_counts=engine.state_counts(),
+            final_outputs=engine.counts_by_output(),
+            wall_clock_seconds=wall_clock_seconds,
+            metadata=metadata,
+        )
+
     def summary(self) -> str:
         """One-line human readable summary."""
         status = "converged" if self.converged else "budget exhausted"
@@ -204,7 +239,8 @@ class Simulation:
         the base period the moment it changes.  Observation then
         concentrates where the dynamics are, and a long quiescent tail
         costs a handful of checks instead of one per parallel-time unit.
-        Recorder time series inherit the adaptive spacing.
+        Recorder time series inherit the adaptive spacing.  Other values
+        raise :class:`~repro.errors.ConfigurationError` here.
     checkpoint_every:
         When set (with ``checkpoint_path``), write a resumable checkpoint
         at every convergence check point at least this many interactions
@@ -248,6 +284,7 @@ class Simulation:
         self.protocol = protocol
         self.n = int(n)
         self.seed = rng if isinstance(rng, int) else None
+        self.check_every = Cadence(check_every, self.n).check_every
         self.engine_kwargs = dict(engine_kwargs or {})
         if scenario is not None:
             from repro.scenarios.scenario import active_scenario
@@ -269,12 +306,6 @@ class Simulation:
         )
         self.convergence = convergence if convergence is not None else SingleLeader()
         self.recorders: List[Recorder] = list(recorders or [])
-        if isinstance(check_every, str) and check_every != "auto":
-            raise ConfigurationError(
-                f"check_every must be a positive interaction period or "
-                f"'auto', got {check_every!r}"
-            )
-        self.check_every = check_every
         self._warm_views()
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ConfigurationError(
@@ -294,23 +325,10 @@ class Simulation:
         # Stateful-predicate memory recovered from a checkpoint, applied on
         # the next run() (after its reset) and then discarded.
         self._pending_convergence_state: Optional[dict] = None
-        # Adaptive-cadence controller state (current period + last output
-        # census).  Live only while _run_adaptive drives the run; carried
-        # through checkpoints because the chunk sequence it produces shapes
-        # randomness consumption — restarting the controller on resume
-        # would silently fork the trajectory from the uninterrupted run's.
-        self._auto_period: Optional[int] = None
-        self._auto_signature: Optional[Dict[str, int]] = None
+        # The cadence of the current (or last) run() and the adaptive
+        # controller recovered from a checkpoint, applied by the next run().
+        self._cadence: Optional[Cadence] = None
         self._pending_auto_state: Optional[dict] = None
-        # Whether the current check point lies on the run's natural chunk
-        # grid.  The adaptive driver clears it for a check reached through
-        # a budget-clipped chunk: that configuration is an artifact of
-        # *this* run's deadline — a longer run never visits it — so a
-        # checkpoint written there could not resume bit-exactly.  Fixed
-        # cadences have the same hazard at their final clipped check;
-        # _on_check detects those arithmetically from the run's start.
-        self._at_aligned_check = True
-        self._run_started_at = self.engine.interactions
 
     def _warm_views(self) -> None:
         """Compile every view declared by the predicate and the recorders.
@@ -362,23 +380,9 @@ class Simulation:
             # memory into a different predicate on resume.
             "convergence_type": type(self.convergence).__name__,
             "convergence_state": self.convergence.state_snapshot(),
-            # The adaptive controller as of *before* the current check's
-            # update (checkpoints are written before the predicate and the
-            # controller run at a check point), so a resumed run applies
-            # the same update the interrupted run applied right after
-            # writing this checkpoint.
-            "auto_cadence": (
-                None
-                if self._auto_period is None
-                else {
-                    "period": int(self._auto_period),
-                    "signature": (
-                        None
-                        if self._auto_signature is None
-                        else dict(self._auto_signature)
-                    ),
-                }
-            ),
+            # The adaptive controller before this check's update, which a
+            # resumed run then applies exactly as the interrupted one did.
+            "auto_cadence": None if self._cadence is None else self._cadence.state(),
         }
         # Present only for disrupted runs: the scenario (a picklable frozen
         # dataclass) is part of the world the trajectory depends on, so a
@@ -524,31 +528,20 @@ class Simulation:
             self.engine.table.view_values(view)
         return recorder
 
-    def _notify_recorders(self, engine: BaseEngine) -> None:
-        for recorder in self.recorders:
-            recorder.record(engine)
-
     def _on_check(self, engine: BaseEngine) -> None:
         """Per-check-point hook: recorders first, then due checkpoints.
 
-        Checkpoints are written only at checks on the run's natural chunk
-        grid.  A budget-exhausted run's final check can be reached through
-        a deadline-clipped chunk; the chunk sequence shapes randomness
-        consumption, so that configuration is an artifact of the shorter
-        budget — a longer run never visits it — and a checkpoint written
-        there could not resume the longer run bit-exactly.
+        Checkpoints are written only at checks reached through an unclipped
+        chunk (:attr:`Cadence.aligned`): a budget-exhausted run's final
+        check can follow a deadline-clipped chunk, and that configuration
+        is an artifact of the shorter budget that a longer run never
+        visits.
         """
-        self._notify_recorders(engine)
-        if self.checkpoint_every is None:
-            return
-        aligned = self._at_aligned_check
-        if aligned and self.check_every != "auto":
-            # Fixed cadence: grid points are check_every multiples from the
-            # run's start (which itself is a grid point for resumed runs).
-            period = self.check_every if self.check_every is not None else engine.n
-            aligned = (engine.interactions - self._run_started_at) % period == 0
+        for recorder in self.recorders:
+            recorder.record(engine)
         if (
-            aligned
+            self.checkpoint_every is not None
+            and self._cadence.aligned
             and engine.interactions - self._last_checkpoint >= self.checkpoint_every
         ):
             self.write_checkpoint()
@@ -575,41 +568,29 @@ class Simulation:
             if the budget runs out; otherwise a non-converged
             :class:`RunResult` is returned.
         """
-        if max_parallel_time <= 0:
-            raise ConfigurationError(
-                f"max_parallel_time must be positive, got {max_parallel_time}"
-            )
+        budget = interaction_budget(max_parallel_time, self.n)
         self.convergence.reset()
         if self._pending_convergence_state is not None:
             self.convergence.state_restore(self._pending_convergence_state)
             self._pending_convergence_state = None
-        self._at_aligned_check = True
-        self._run_started_at = self.engine.interactions
-        self._auto_period = None
-        self._auto_signature = None
-        if self._pending_auto_state is not None:
-            # Only an adaptive run may continue the recorded controller; a
-            # fixed-cadence resume must not carry it into its own
-            # checkpoints as stale state.
-            if self.check_every == "auto":
-                self._auto_period = int(self._pending_auto_state["period"])
-                signature = self._pending_auto_state.get("signature")
-                self._auto_signature = None if signature is None else dict(signature)
-            self._pending_auto_state = None
-        budget = int(round(max_parallel_time * self.n))
+        # A resumed adaptive run continues the recorded controller: the
+        # chunk sequence it produces shapes randomness consumption.  A
+        # fixed cadence ignores it, so its checkpoints carry no stale state.
+        self._cadence = Cadence(self.check_every, self.n, self._pending_auto_state)
+        self._pending_auto_state = None
         if self._resumed:
             budget = max(0, budget - self.engine.interactions)
         use_hook = bool(self.recorders) or self.checkpoint_every is not None
+        engine = self.engine
         started = _time.perf_counter()
-        if self.check_every == "auto":
-            converged = self._run_adaptive(budget, use_hook)
-        else:
-            converged = self.engine.run_until(
-                self.convergence,
-                max_interactions=budget,
-                check_every=self.check_every,
-                on_check=self._on_check if use_hook else None,
-            )
+        (converged,) = drive(
+            [engine],
+            [self.convergence],
+            [self._cadence],
+            budget,
+            lambda chunks: engine.run(chunks[0]),
+            self._on_check if use_hook else None,
+        )
         elapsed = _time.perf_counter() - started
         if not converged and raise_on_budget:
             raise ConvergenceError(
@@ -619,74 +600,14 @@ class Simulation:
             )
         return self.result(converged=converged, wall_clock_seconds=elapsed)
 
-    def _run_adaptive(self, budget: int, use_hook: bool) -> bool:
-        """Drive the run at the adaptive check cadence.
-
-        Mirrors :meth:`BaseEngine.run_until` (observer first, then the
-        predicate, at every check point including the starting position),
-        but chooses the next check period from the observed dynamics: the
-        period doubles while the output census is unchanged between checks
-        and snaps back to the base period (``n // 4`` interactions) when it
-        changes, capped at ``4 n``.  The census comes from
-        ``counts_by_output()`` — a vector reduction on the count-space
-        engines — so the cadence controller itself costs O(occupied) per
-        check.
-
-        The controller lives in ``self._auto_period`` /
-        ``self._auto_signature`` and is updated *after* the check's
-        observer hook, so a checkpoint written at a check point records
-        the pre-update state; restoring it makes the resumed run's first
-        controller update identical to the one the interrupted run applied
-        right after writing the checkpoint — the chunk sequence (and with
-        it the randomness consumption) continues bit-exactly.
-        """
-        engine = self.engine
-        base = max(1, self.n // _AUTO_BASE_DIVISOR)
-        cap = max(base, _AUTO_MAX_UNITS * self.n)
-        if self._auto_period is None:
-            self._auto_period = base
-            self._auto_signature = None
-        deadline = engine.interactions + budget
-        while True:
-            if use_hook:
-                self._on_check(engine)
-            if self.convergence(engine):
-                return True
-            current = engine.counts_by_output()
-            if current == self._auto_signature:
-                self._auto_period = min(2 * self._auto_period, cap)
-            else:
-                self._auto_signature = current
-                self._auto_period = base
-            if engine.interactions >= deadline:
-                return False
-            chunk = min(self._auto_period, deadline - engine.interactions)
-            self._at_aligned_check = chunk >= self._auto_period
-            engine.run(chunk)
-
     def result(self, *, converged: bool, wall_clock_seconds: float = 0.0) -> RunResult:
         """Build a :class:`RunResult` from the engine's current state."""
-        engine = self.engine
-        metadata: Dict[str, object] = {}
-        if self.scenario is not None:
-            metadata["scenario"] = self.scenario.label()
-            counters = getattr(engine, "scenario_counters", None)
-            if counters is not None:
-                events = counters()
-                if events is not None:
-                    metadata["scenario_events"] = events
-        return RunResult(
-            protocol_name=self.protocol.name,
-            n=self.n,
+        return RunResult.from_engine(
+            self.engine,
             seed=self.seed,
             converged=converged,
-            interactions=engine.interactions,
-            parallel_time=engine.parallel_time,
-            states_used=engine.states_ever_occupied,
-            final_counts=engine.state_counts(),
-            final_outputs=engine.counts_by_output(),
             wall_clock_seconds=wall_clock_seconds,
-            metadata=metadata,
+            scenario=self.scenario,
         )
 
 

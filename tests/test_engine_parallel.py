@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.engine import parallel
@@ -12,6 +13,7 @@ from repro.engine.simulation import run_protocol
 from repro.errors import ConfigurationError, SweepError
 from repro.experiments.store import ExperimentStore
 from repro.protocols.slow import SlowLeaderElection
+from test_engine_replicated import KERNELS, PROTOCOLS
 
 
 def _factory(n: int) -> SlowLeaderElection:
@@ -237,15 +239,65 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
 
 
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
-    # The adaptive "auto" cadence is per-row state the mega-cell driver
-    # does not replay; such sweeps take the per-cell path.
+    # raise_on_budget is a per-run exception policy the mega-cell path does
+    # not implement; such sweeps take the per-cell path.
     points = run_cells(
         _factory,
         64,
         [5, 6],
         max_parallel_time=1000,
         engine="countbatch",
-        check_every="auto",
+        raise_on_budget=True,
     )
     assert all("replicated" not in point.extra for point in points)
     assert all(point.result.converged for point in points)
+
+
+_MEGA_BUDGET = 30.0
+
+#: Cadences a mega-cell must replay exactly: a fixed period that does not
+#: divide the budget (so budget-exhausted rows end on a clipped chunk), the
+#: adaptive controller, and a NumPy integer period.
+_MEGA_CADENCES = {
+    "clipped": lambda n: n // 3 + 1,
+    "auto": lambda n: "auto",
+    "int64": lambda n: np.int64(n // 2),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("cadence", sorted(_MEGA_CADENCES))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_mega_cell_rows_match_scalar_runs(protocol, cadence, kernel):
+    """Every mega-cell row equals the scalar run of its seed, for every
+    count-capable protocol, cadence and count-kernel path."""
+    factory, n = PROTOCOLS[protocol]
+    check_every = _MEGA_CADENCES[cadence](n)
+    if cadence == "clipped":
+        assert round(_MEGA_BUDGET * n) % check_every
+    seeds = [11, 12, 13, 14]
+    run_kwargs = {"check_every": check_every, "engine_kwargs": {"kernel": kernel}}
+    points = run_cells(
+        factory,
+        n,
+        seeds,
+        max_parallel_time=_MEGA_BUDGET,
+        engine="countbatch",
+        **run_kwargs,
+    )
+    assert all(point.extra.get("replicated") for point in points)
+    for point in points:
+        reference = run_protocol(
+            factory(n),
+            n,
+            seed=point.seed,
+            max_parallel_time=_MEGA_BUDGET,
+            convergence=parallel._ProtocolConvergence(factory)(n),
+            engine_cls="countbatch",
+            **run_kwargs,
+        )
+        assert point.result.converged == reference.converged
+        assert point.result.interactions == reference.interactions
+        assert point.result.states_used == reference.states_used
+        assert point.result.final_counts == reference.final_counts
+        assert point.result.final_outputs == reference.final_outputs

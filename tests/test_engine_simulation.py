@@ -165,6 +165,24 @@ def test_auto_cadence_resets_on_output_change():
     assert max(spacings) == pytest.approx(4.0)
 
 
-def test_rejects_unknown_check_every_string():
-    with pytest.raises(ConfigurationError):
-        Simulation(SlowLeaderElection(), 16, rng=0, check_every="sometimes")
+@pytest.mark.parametrize(
+    "check_every", ["sometimes", 2.5, 0, -4], ids=["string", "float", "zero", "negative"]
+)
+def test_rejects_invalid_check_every(check_every):
+    # Raised at construction, before the run (or a checkpoint) can start.
+    with pytest.raises(ConfigurationError, match="check_every"):
+        Simulation(SlowLeaderElection(), 16, rng=0, check_every=check_every)
+
+
+def test_integer_like_check_every_is_normalised():
+    import numpy as np
+
+    result = run_protocol(
+        OneWayEpidemic(), 64, seed=1, max_parallel_time=4.0, check_every=np.int64(48)
+    )
+    reference = run_protocol(
+        OneWayEpidemic(), 64, seed=1, max_parallel_time=4.0, check_every=48
+    )
+    assert type(result.interactions) is int
+    assert result.interactions == reference.interactions == 256
+    assert result.final_counts == reference.final_counts
