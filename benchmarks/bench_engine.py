@@ -14,15 +14,14 @@ Two entry points:
 * ``python benchmarks/bench_engine.py`` — the full throughput ablation
   across the exact engines at ``n ∈ {10^4, 10^5, 10^6, 10^7}`` on the
   one-way epidemic, plus the GSU19 count-space section (exact engines at
-  ``n ∈ {10^6, 10^7}`` on the headline protocol, reachable closure
-  registered — the numbers behind the dispatcher's no-kernel
+  ``n ∈ {10^6, 10^7}`` on the headline protocol, tables growing on the
+  occupied frontier — the numbers behind the dispatcher's no-kernel
   occupied-frontier cost model; ``countbatch`` through the compiled count
   kernel and ``countbatch-python`` on the portable path, plus a kernel-only
   ``countbatch`` cell at ``n = 10^9``); writes the machine-readable
   ``BENCH_engine.json`` at the repo root so the performance trajectory is
-  tracked PR over PR.  The GSU19
-  section pays the one-time ~45 s closure BFS; skip it with
-  ``--no-gsu19``.  ``--observed`` adds the observation-pipeline section:
+  tracked PR over PR.  Skip the GSU19 section with ``--no-gsu19``.
+  ``--observed`` adds the observation-pipeline section:
   observed-vs-unobserved GSU19 throughput with the ``SingleLeader``
   predicate and a role-census recorder attached at a dense check cadence
   (the compiled-view acceptance bound is observed <= 1.25x unobserved at
@@ -295,26 +294,10 @@ _GSU19_KERNEL_SIZES = (10**9,)
 
 
 def _gsu19_at_scale(n: int) -> GSULeaderElection:
-    """GSU19 with the calibration for ``n`` and its closure declared.
-
-    ``n_hint`` is floored at the closure threshold so even the ``10^6``
-    cell registers the reachable closure (``n_hint`` is validation-only —
-    the dynamics depend on ``(gamma, phi, psi)`` alone, which are derived
-    from the *real* ``n``): the section measures the count-space
-    configuration every engine sees in the headline tier.
+    """GSU19 with the calibration for ``n``, as every engine sees it in the
+    headline tier: states are discovered lazily on the occupied frontier.
     """
-    from repro.core.params import GSUParams
-    from repro.core.protocol import CLOSURE_MIN_N_HINT
-
-    base = GSUParams.from_population_size(n)
-    return GSULeaderElection(
-        GSUParams(
-            n_hint=max(n, CLOSURE_MIN_N_HINT),
-            gamma=base.gamma,
-            phi=base.phi,
-            psi=base.psi,
-        )
-    )
+    return GSULeaderElection.for_population(n)
 
 
 def run_gsu19_ablation(
@@ -325,9 +308,8 @@ def run_gsu19_ablation(
 ) -> dict:
     """Measure the exact engines on the headline GSU19 protocol.
 
-    The protocol instances are built at count-batch scale, so the reachable
-    closure (~1.8k states at this calibration) is computed once (cached per
-    calibration) and registered with every engine's table.  Each engine
+    Every round builds a fresh protocol instance, so each engine's table
+    starts empty and grows on the frontier the run occupies.  Each engine
     first *warms* the configuration for two parallel-time units from a
     fresh engine before the timed window — GSU19's occupied frontier grows
     from 1 to dozens of states over the first rounds and the steady-state
@@ -344,7 +326,6 @@ def run_gsu19_ablation(
     cells = [(n, _GSU19_ENGINES) for n in sizes]
     cells += [(n, {"countbatch": CountBatchEngine}) for n in kernel_sizes]
     for n, engines in cells:
-        factory(n).reachable_state_closure()  # one-time BFS outside timings
         budget = min(4 * n, base_interactions)
         warmup = 2 * n
         for name, engine_cls in engines.items():
@@ -386,8 +367,8 @@ def run_gsu19_ablation(
                 "c_kernel_available": kernel_available(),
                 "count_kernel_available": count_kernel_available(),
                 "note": (
-                    "reachable closure registered (computed once per "
-                    "calibration); occupied_states is the frontier at the "
+                    "tables grow on the occupied frontier (no closure "
+                    "enumerated); occupied_states is the frontier at the "
                     "end of the timed window — the quantity the auto "
                     "dispatcher's no-kernel count-batch cost model keys on; "
                     "'countbatch' runs the compiled count kernel where "
@@ -434,7 +415,6 @@ def run_observed_ablation(
     results: List[dict] = []
     factory = _gsu19_at_scale
     for n in sizes:
-        factory(n).reachable_state_closure()  # one-time BFS outside timings
         budget = min(4 * n, base_interactions)
         warmup = 2 * n
         check_every = max(1, n // _OBSERVED_CHECK_DIVISOR)
@@ -622,9 +602,9 @@ def run_topology_ablation(
     }
 
 
-#: Sweep section workload: the headline closure calibration (k ~ 1.8k
-#: states, a ~25 MB packed table per engine) at a count-batch population —
-#: the (protocol, n) cell the replica dimension was built for.
+#: Sweep section workload: the headline calibration (a reachable closure of
+#: k ~ 1.8k states, of which runs discover a few hundred) at a count-batch
+#: population — the (protocol, n) cell the replica dimension was built for.
 _SWEEP_N = 10**6
 _SWEEP_REPLICAS = 32
 
@@ -668,7 +648,6 @@ def run_sweep_ablation(
     from repro.engine.rng import spawn_seeds
 
     factory = _gsu19_headline_calibration
-    factory(n).reachable_state_closure()  # one-time BFS outside timings
     seeds = spawn_seeds(777, replicas)
     warm = CountBatchEngine(factory(n), n, rng=1)
     warm.run(n)
@@ -793,7 +772,6 @@ def run_threads_ablation(
     from repro.engine.rng import spawn_seeds
 
     factory = _gsu19_headline_calibration
-    factory(n).reachable_state_closure()  # one-time BFS outside timings
     cpus = available_cpus()
     seeds = spawn_seeds(777, replicas)
     warm = CountBatchEngine(factory(n), n, rng=1)
@@ -903,28 +881,6 @@ _APPROX_KS_SEEDS = 30
 _APPROX_KS_WORKLOADS = ("epidemic", "gsu19")
 
 
-def _gsu19_lazy(n: int) -> GSULeaderElection:
-    """GSU19 at the calibration of ``n`` but without the closure BFS.
-
-    ``for_population(n)`` at count-batch scale pre-registers the reachable
-    closure (a ~45 s BFS per calibration, amortised against exact
-    count-space sweeps); the approximate tier discovers its active states
-    lazily in milliseconds, so this derives the (gamma, phi, psi)
-    calibration from ``n`` and pins ``n_hint`` below the closure gate.
-    The exact comparator runs on the same lazily-discovered table — a
-    *smaller* occupied frontier than the registered closure, i.e. the
-    comparison errs in the exact engine's favour.
-    """
-    from repro.core.params import GSUParams
-
-    params = GSUParams.from_population_size(n)
-    return GSULeaderElection(
-        GSUParams(
-            n_hint=1000, gamma=params.gamma, phi=params.phi, psi=params.psi
-        )
-    )
-
-
 def run_approx_ablation(
     sizes: Sequence[int] = _APPROX_SIZES,
     rounds: int = 3,
@@ -971,7 +927,7 @@ def run_approx_ablation(
         for n in sizes:
             for name, engine_cls in engines_for(n).items():
                 start = time.perf_counter()
-                engine = engine_cls(_gsu19_lazy(n), n, rng=1)
+                engine = engine_cls(_gsu19_at_scale(n), n, rng=1)
                 constructed = time.perf_counter()
                 engine.run_parallel_time(tau)
                 finished = time.perf_counter()
@@ -1050,7 +1006,7 @@ def run_approx_ablation(
         "approx": {
             "schema": "bench-engine-approx/v1",
             "workload": {
-                "protocol": "gsu19-leader-election (lazy table, no closure)",
+                "protocol": "gsu19-leader-election (lazy table)",
                 "parallel_time": tau,
                 "metric": (
                     "seconds to advance tau parallel-time units (median "
@@ -1104,7 +1060,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--no-gsu19",
         action="store_true",
-        help="skip the GSU19 count-space section (saves its ~45s closure BFS)",
+        help="skip the GSU19 count-space section",
     )
     parser.add_argument(
         "--no-epidemic",
@@ -1137,8 +1093,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help=(
             "also measure the sweep scheduler: 32 replica-vectorised GSU19 "
-            "runs against 32 scalar runs, and serial-vs-workers sweep wall "
-            "clock (pays the headline calibration's one-time closure BFS)"
+            "runs against 32 scalar runs, and serial-vs-workers sweep "
+            "wall clock"
         ),
     )
     parser.add_argument(
@@ -1166,7 +1122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.no_epidemic:
         document = run_ablation(sizes=args.sizes, rounds=args.rounds)
     # The GSU19 section respects --sizes: a quick small-size smoke must not
-    # silently pay the tier's closure BFS and 10^7-agent warm-ups.
+    # silently pay the tier's 10^7-agent warm-ups.
     gsu19_sizes = tuple(n for n in _GSU19_SIZES if n <= max(args.sizes))
     # The count-space-only cells ride along with the full-size run (their
     # n is count-space scale, far past any sensible --sizes override) and

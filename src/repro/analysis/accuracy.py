@@ -115,8 +115,9 @@ class AccuracyWorkload:
 
 
 #: Named workloads.  The first five mirror the exact cross-engine
-#: equivalence suite ("gsu19-closure" registers the reachable closure so
-#: identifier layout comes from the BFS instead of lazy discovery);
+#: equivalence suite ("gsu19-closure" is the Γ = 4 calibration at a
+#: count-batch-scale ``n_hint``, which once pre-registered its reachable
+#: closure and now discovers states lazily like every GSU19 instance);
 #: "gs18" and "lottery" extend coverage to the junta-phase and
 #: ticket-duel leader-election baselines for the approximate-tier harness.
 WORKLOADS: Dict[str, AccuracyWorkload] = {

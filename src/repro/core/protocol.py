@@ -42,26 +42,10 @@ from repro.core.state import GSUAgentState, is_alive_leader, zero_state
 from repro.engine.base import BaseEngine
 from repro.engine.closure import reachable_states
 from repro.engine.convergence import SingleLeader
-from repro.engine.dispatch import COUNTBATCH_FORCE_N
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
 from repro.types import Role
 
-__all__ = ["GSULeaderElection", "CLOSURE_MIN_N_HINT"]
-
-#: Population-size hint from which :meth:`GSULeaderElection.canonical_states`
-#: computes the reachable-state closure.  Tied by import to the dispatcher's
-#: no-kernel *force* threshold (:data:`repro.engine.dispatch.COUNTBATCH_FORCE_N`).
-#: The gate no longer decides dispatch: with the compiled count kernel
-#: ``auto`` picks count-batch from ``3*10^6`` agents without calling
-#: ``canonical_states``, and without the kernel the cost model keeps GSU19
-#: on the per-agent engines below this size.  It decides only whether the
-#: compiled table pre-registers the closure when it is built.  Below it the
-#: ``Θ(K²)`` BFS (``K ≈ 1.3–1.8·10³`` states at the default calibration)
-#: would be pure construction overhead, so those instances keep the lazily
-#: discovered state space — which also keeps their seed-pinned count-engine
-#: trajectories unchanged — and the count engines run them via lazy growth
-#: (or an explicit :meth:`GSULeaderElection.reachable_state_closure`).
-CLOSURE_MIN_N_HINT = COUNTBATCH_FORCE_N
+__all__ = ["GSULeaderElection"]
 
 #: Reachable-closure cache.  Keyed by ``(gamma, phi, psi)`` — the only
 #: parameters the transition function reads (``n_hint`` is validation-only),
@@ -115,51 +99,35 @@ class GSULeaderElection(PopulationProtocol):
         # construct at n = 10^7-10^8 without an O(n) per-agent list.
         return {zero_state(): n}
 
-    def canonical_states(self) -> Optional[Tuple[GSUAgentState, ...]]:
-        """The reachable-state closure — for count-batch-scale instances.
-
-        Every field of the frozen :class:`~repro.core.state.GSUAgentState` is
-        bounded for fixed parameters (``phase < Γ``, ``level ≤ Φ``,
-        ``drag ≤ Ψ``, ``cnt ≤ 2Φ+3``), so the set of states reachable from
-        the all-zero start is finite and
-        :func:`~repro.engine.closure.reachable_states` enumerates it exactly.
-        The BFS costs ``Θ(K²)`` transition evaluations (tens of seconds at
-        the default calibration) and is therefore only performed when the
-        parameters were derived for a population at configuration-space
-        scale (``n_hint >= CLOSURE_MIN_N_HINT``), where it is amortised
-        against the run itself; the result is cached per ``(gamma, phi,
-        psi)`` in a module-level cache shared by all instances.  Smaller
-        instances return ``None`` and keep the lazily discovered state
-        space, which leaves their seed-pinned count-engine trajectories
-        byte-identical to earlier releases.  Call
-        :meth:`reachable_state_closure` directly to compute the closure for
-        a small instance explicitly.
-        """
-        if self.params.n_hint < CLOSURE_MIN_N_HINT:
-            return None
-        return self.reachable_state_closure()
-
     def occupied_states_hint(self) -> int:
         """Empirical envelope of the simultaneously occupied state count.
 
         Measured runs occupy far fewer states at a time than the reachable
-        closure declares (40-75 at the default calibration across
+        closure holds (40-75 at the default calibration across
         ``n = 10^6``-``10^7``, versus ``K ~ 1.8*10^3`` reachable): the phase
         clock keeps each sub-population's phases in a narrow moving band.
         The bound below — a few phases' worth of every role's field
         combinations — envelopes every measurement with ~2x headroom.  Only
-        the dispatcher's no-kernel count-batch cost model reads it (engine
-        choice only, never correctness); with the compiled count kernel
-        ``auto`` does not consult it.
+        the dispatcher's no-kernel count-batch cost model reads it, below
+        its force threshold (engine choice only, never correctness); with
+        the compiled count kernel ``auto`` does not consult it.
         """
         return 4 * self.params.gamma + 4 * (self.params.phi + self.params.psi)
 
     def reachable_state_closure(self) -> Tuple[GSUAgentState, ...]:
         """Compute (and cache per ``(gamma, phi, psi)``) the reachable states.
 
-        Unlike :meth:`canonical_states` this always runs the BFS, whatever
-        the instance's ``n_hint`` — the explicit opt-in for state-space
-        audits and for count-dispatching small calibrations.
+        Every field of the frozen :class:`~repro.core.state.GSUAgentState` is
+        bounded for fixed parameters (``phase < Γ``, ``level ≤ Φ``,
+        ``drag ≤ Ψ``, ``cnt ≤ 2Φ+3``), so the set of states reachable from
+        the all-zero start is finite and
+        :func:`~repro.engine.closure.reachable_states` enumerates it exactly,
+        at ``Θ(K²)`` transition evaluations (tens of seconds at the default
+        calibration).  No engine needs it: GSU19 declares no
+        ``canonical_states`` and every table discovers states lazily on the
+        frontier a run occupies.  This is the explicit audit API; seed an
+        encoder with it (``protocol.compile(encoder=StateEncoder(closure))``)
+        to build a table over the whole reachable space.
         """
         key = (self.params.gamma, self.params.phi, self.params.psi)
         closure = _CLOSURE_CACHE.get(key)

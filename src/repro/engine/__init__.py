@@ -52,12 +52,11 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
   impossible (memory).  Requires a *count-capable* protocol at scale: an
   ``O(k)`` ``initial_counts`` (the O(n) configuration fallback is refused
-  at ``n >= 10^7``) and — for auto dispatch without the count kernel —
-  a finite ``canonical_states`` (GSU19 declares its reachable-state
-  closure, see :mod:`repro.engine.closure`).  The kernel and Python paths are equal in
-  distribution but consume randomness differently, so each carries its own
-  trajectory-digest pins; ``CountBatchEngine(..., kernel="python")`` pins
-  the portable path.
+  at ``n >= 10^7``).  No declared state space is needed: the table grows
+  on the occupied frontier, which is how GSU19 runs at every size.  The
+  kernel and Python paths are equal in distribution but consume randomness
+  differently, so each carries its own trajectory-digest pins;
+  ``CountBatchEngine(..., kernel="python")`` pins the portable path.
 * :class:`~repro.engine.tauleap.TauLeapEngine` — the **approximate tier's**
   stochastic engine: count-space tau-leaping (binomial per-channel firing
   counts at frozen start-of-leap probabilities, Cao–Gillespie adaptive leap
@@ -118,18 +117,17 @@ five workloads, mean-field to an ``O(1/sqrt(n))`` occupancy band, with the
 tolerances documented next to the assertions.
 
 ``"auto"`` (see :func:`~repro.engine.dispatch.auto_engine`) encodes exactly
-this table.  From ``3*10^6`` agents it has two tiers, chosen by whether the
-compiled count kernel is available.  With the kernel, every protocol that
-declares an ``O(k)`` ``initial_counts`` goes to count-batch, whose table
-grows lazily on the frontier the run occupies; the dispatcher enumerates
-no states there.  Without it, a protocol must be *count-capable* — an
-``O(k)`` ``initial_counts`` and a finite ``canonical_states`` (epidemic,
-both majorities, the slow election; GSU19 via its cached reachable-state
-closure) — and the dispatcher evaluates a measured per-batch cost model at
-the protocol's occupied-frontier bound (``occupied_states_hint()``) against
-the fast-batch reference, forcing count-batch outright from ``3*10^7``,
-where per-agent construction is O(n) in time and memory.  Everything else
-gets fastbatch above the crossover for whichever hot path is actually
+this table.  From ``3*10^6`` agents a protocol is *count-capable* on one
+rule, whatever the tier: it declares an ``O(k)`` ``initial_counts``.
+Count-batch's table then grows lazily on the frontier the run occupies, so
+no state space is enumerated (GSU19 discovers its states lazily at every
+size).  With the compiled count kernel every count-capable protocol goes
+to count-batch.  Without it the dispatcher forces count-batch from
+``3*10^7``, where per-agent construction is O(n) in time and memory, and
+below that evaluates a measured per-batch cost model at the protocol's
+occupied-frontier bound (``occupied_states_hint()``, else the declared
+state-space size) against the fast-batch reference.  Everything else gets
+fastbatch above the crossover for whichever hot path is actually
 available, sequential otherwise.
 
 The :mod:`repro.engine.simulation` module layers run management (convergence

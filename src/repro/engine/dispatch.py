@@ -23,12 +23,12 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
 * ``CountBatchEngine`` — exact in distribution, ``O(k)`` memory, and
   processes collision-free runs of ``Θ(sqrt(n))`` interactions per batched
   update whose cost follows the *occupied* state frontier.  From
-  ``_COUNTBATCH_MIN_N`` agents its eligibility depends on the tier (below):
-  with the compiled count kernel every protocol with an ``O(k)``
-  ``initial_counts`` is dispatched to it; without the kernel a measured
-  cost model decides below ``COUNTBATCH_FORCE_N`` and count-capability
-  alone above it — the per-agent engines' ``O(n)`` arrays and construction
-  loops stop being viable long before ``10^8``.
+  ``_COUNTBATCH_MIN_N`` agents every protocol with an ``O(k)``
+  ``initial_counts`` is eligible, on either tier (below): with the compiled
+  count kernel it is dispatched to it; without the kernel a measured cost
+  model decides below ``COUNTBATCH_FORCE_N`` and eligibility alone above
+  it — the per-agent engines' ``O(n)`` arrays and construction loops stop
+  being viable long before ``10^8``.
 
 The approximate tier (never auto-selected)
 ==========================================
@@ -61,20 +61,23 @@ Count dispatch: two tiers
 =========================
 
 From ``_COUNTBATCH_MIN_N`` agents (and never below it) ``auto`` may pick
-``CountBatchEngine``.  How it decides depends only on whether the compiled
-count kernel (:mod:`repro.engine._count_kernel`, built by the same compiler
-probe as the fast-batch kernel) is available on the machine:
+``CountBatchEngine``.  Eligibility is one rule on both tiers: an ``O(k)``
+``initial_counts`` (:func:`count_capable`).  The transition table then
+grows lazily on the frontier the run actually occupies, so no protocol
+needs a declared state space to be count-dispatched.  How ``auto`` decides
+for an eligible protocol depends only on whether the compiled count kernel
+(:mod:`repro.engine._count_kernel`, built by the same compiler probe as the
+fast-batch kernel) is available on the machine:
 
-* **Kernel tier** — count-capability means an ``O(k)`` ``initial_counts``.
-  Every such protocol goes to ``CountBatchEngine``; the transition table
-  then grows lazily on the frontier the run actually occupies.  The
-  dispatcher never calls ``canonical_states`` (which may run GSU19's
-  reachable-closure BFS) or ``occupied_states_hint`` on this tier.  A
-  kernel batch costs about a microsecond plus a LUT lookup per occupied
-  pairing cell and advances ``~0.886 sqrt(n)`` interactions, so the
-  realised frontier, not a bound on it, sets the cost; the per-agent
-  engines' ``O(n)`` construction, census and checkpoints go away.
-* **No-kernel tier** — the count-batch update runs in Python, so it is
+* **Kernel tier** — every eligible protocol goes to ``CountBatchEngine``.
+  The dispatcher never calls ``canonical_states`` or
+  ``occupied_states_hint`` on this tier.  A kernel batch costs about a
+  microsecond plus a LUT lookup per occupied pairing cell and advances
+  ``~0.886 sqrt(n)`` interactions, so the realised frontier, not a bound
+  on it, sets the cost; the per-agent engines' ``O(n)`` construction,
+  census and checkpoints go away.
+* **No-kernel tier** — from ``COUNTBATCH_FORCE_N`` eligibility alone
+  decides.  Below it the count-batch update runs in Python, so it is
   priced.  One update advances an expected ``sqrt(pi * n / 4)``
   interactions; its cost is a fixed overhead plus a term in the number
   ``k`` of occupied states (scalar hypergeometric splits while ``k`` is
@@ -82,10 +85,10 @@ probe as the fast-batch kernel) is available on the machine:
   :mod:`repro.engine.count_batch`).  The model evaluates that cost at the
   protocol's occupied-frontier bound
   (:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`,
-  defaulting to the declared state-space size) against the fast-batch
-  engine's measured per-interaction cost, and requires a finite declared
-  state space.  From ``COUNTBATCH_FORCE_N`` count-capability alone decides.
-  All constants were measured on the ``BENCH_engine.json`` workloads.
+  else the declared state-space size) against the fast-batch engine's
+  measured per-interaction cost; a protocol that declares neither stays on
+  the per-agent engines.  All constants were measured on the
+  ``BENCH_engine.json`` workloads.
 
 Below ``_COUNTBATCH_MIN_N`` the policy is deliberately kernel-independent:
 every ``auto`` choice there is in the bit-for-bit sequential-identical
@@ -176,15 +179,7 @@ _COUNTBATCH_MIN_N = 3_000_000
 #: engines build an O(n) Python list and O(n) arrays at construction
 #: (~0.5-1 GB and a minutes-scale encode loop at this size, several GB at
 #: 10^8), so the throughput comparison stops being the binding constraint.
-#: Public: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is
-#: defined as this threshold — the size from which the closure pays off.
 COUNTBATCH_FORCE_N = 30_000_000
-
-#: No-kernel count dispatch requires the declared state space to fit a sane
-#: packed transition LUT: the table allocates an (k x k) int64 array, which
-#: at 4096 states is ~134 MB — beyond that the compiled IR itself stops
-#: being "small" and the count engines lose their memory argument.
-_COUNTBATCH_MAX_DECLARED_STATES = 4096
 
 # --- measured no-kernel count-batch cost model (see BENCH_engine.json) --
 #: Fixed per-batch overhead: survival-curve inversion, the participant /
@@ -209,11 +204,11 @@ _FASTBATCH_SECONDS_PER_INTERACTION = 2.9e-8
 def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
     """Number of canonical states the protocol declares, or ``None``.
 
-    ``None`` means the protocol discovers its state space lazily, in which
-    case the dispatcher assumes it is too large for count-based simulation.
-    Accepts any iterable from ``canonical_states`` — sized containers are
-    measured with ``len``; generator-valued enumerations are counted by
-    consuming the (fresh) iterator.
+    ``None`` means the protocol discovers its state space lazily; without
+    an occupied-frontier hint the no-kernel cost model then has nothing to
+    price.  Accepts any iterable from ``canonical_states`` — sized
+    containers are measured with ``len``; generator-valued enumerations are
+    counted by consuming the (fresh) iterator.
     """
     canonical = protocol.canonical_states()
     if canonical is None:
@@ -254,26 +249,15 @@ def _countbatch_profitable(occupied: int, n: int) -> bool:
     return per_interaction < _FASTBATCH_SECONDS_PER_INTERACTION
 
 
-def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
-    """Declared state-space size if ``protocol`` can be count-dispatched
-    without the count kernel.
+def count_capable(protocol: PopulationProtocol, n: int) -> bool:
+    """Whether ``protocol`` may be count-dispatched at ``n``, on either tier.
 
-    There, count-capability requires an ``O(k)`` ``initial_counts`` path (the
-    configuration-level engines refuse the ``O(n)`` fallback at 10^7+) and
-    a finite declared state space small enough for the packed transition
-    LUT.  Returns the declared size, or ``None`` when ineligible.
-
-    The ``initial_counts`` probe runs first: it is O(k) cheap, while
-    ``canonical_states`` may trigger a protocol's reachable-closure BFS
-    (tens of seconds for GSU19 — amortised against a ``>= 3*10^6``-agent
-    run, but not worth paying for a protocol that lacks the counts hook).
+    Count-capability is an ``O(k)`` ``initial_counts`` path: the
+    configuration-level engines refuse the ``O(n)`` fallback at 10^7+, and
+    the transition table grows on the frontier a run occupies, so no
+    declared state space is required.
     """
-    if protocol.initial_counts(n) is None:
-        return None
-    states = state_space_size(protocol)
-    if states is None or states > _COUNTBATCH_MAX_DECLARED_STATES:
-        return None
-    return states
+    return protocol.initial_counts(n) is not None
 
 
 def replica_capable(engine_cls: Type[BaseEngine]) -> bool:
@@ -349,28 +333,18 @@ def _scenario_capable_names() -> list:
 
 def _countbatch_without_kernel(protocol: PopulationProtocol, n: int) -> bool:
     """No-kernel tier: whether count-batch is forced or modelled profitable
-    at ``n >= _COUNTBATCH_MIN_N``.
+    for a count-capable protocol at ``n >= _COUNTBATCH_MIN_N``.
 
-    Below the force threshold an unprofitable frontier hint prices
-    count-batch out *before* ``canonical_states`` is consulted: that
-    enumeration may be expensive (GSU19's closure BFS), and it must only be
-    paid when it can change the decision.
+    Below the force threshold the model is priced at the occupied-frontier
+    hint, else at the declared state-space size; a protocol that declares
+    neither stays on the per-agent engines.
     """
-    hint = protocol.occupied_states_hint()
-    worth_probing = (
-        n >= COUNTBATCH_FORCE_N
-        or hint is None
-        or _countbatch_profitable(hint, n)
-    )
-    if not worth_probing:
-        return False
-    states = count_capable(protocol, n)
-    if states is None:
-        return False
     if n >= COUNTBATCH_FORCE_N:
         return True
-    occupied = states if hint is None else min(states, hint)
-    return _countbatch_profitable(occupied, n)
+    occupied = protocol.occupied_states_hint()
+    if occupied is None:
+        occupied = state_space_size(protocol)
+    return occupied is not None and _countbatch_profitable(occupied, n)
 
 
 def auto_engine(
@@ -399,14 +373,10 @@ def auto_engine(
                 if n >= threshold:
                     return FastBatchEngine
             return SequentialEngine
-    if n >= _COUNTBATCH_MIN_N:
-        if count_kernel_available():
-            # Kernel tier: the table grows on the realised frontier, so
-            # neither canonical_states (GSU19's closure BFS) nor the
-            # frontier hint is consulted.
-            if protocol.initial_counts(n) is not None:
-                return CountBatchEngine
-        elif _countbatch_without_kernel(protocol, n):
+    if n >= _COUNTBATCH_MIN_N and count_capable(protocol, n):
+        # With the count kernel nothing is priced: the table grows on the
+        # realised frontier.
+        if count_kernel_available() or _countbatch_without_kernel(protocol, n):
             return CountBatchEngine
     threshold = (
         _FASTBATCH_MIN_N_CKERNEL if kernel_available() else _FASTBATCH_MIN_N

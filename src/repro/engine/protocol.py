@@ -113,10 +113,11 @@ class PopulationProtocol(abc.ABC):
         (:class:`~repro.engine.count_batch.ReplicatedCountBatchEngine`) use
         this to decide between one shared table and per-row private tables.
         The default says "complete whenever canonical states are declared",
-        which matches every protocol in this repository (declared sets are
-        either full enumerations or reachable closures); a protocol that
-        declares a deliberately *partial* canonical set must override this
-        to return ``False``.
+        which matches every protocol in this repository (the declared sets
+        are full enumerations; GSU19 and the other lazily discovering
+        protocols declare none, so their replica rows get per-row tables);
+        a protocol that declares a deliberately *partial* canonical set must
+        override this to return ``False``.
         """
         return self.canonical_states() is not None
 
@@ -131,23 +132,27 @@ class PopulationProtocol(abc.ABC):
         :meth:`initial_configuration` (refused outright at ``n >= 10^7``,
         where the fallback would silently allocate gigabytes).  Counts must
         be non-negative and sum to ``n``.  Declaring this hook is what makes
-        ``engine="auto"`` consider the configuration-space engines at large
-        ``n``: on its own with the compiled count kernel, together with a
-        finite :meth:`canonical_states` (*count-capable*) without it.
+        a protocol *count-capable*: ``engine="auto"`` considers the
+        configuration-space engines at large ``n`` on this hook alone, with
+        or without the compiled count kernel (without it, a cost model
+        priced at :meth:`occupied_states_hint` decides below the force
+        threshold).  No declared state space is needed; the transition
+        table grows on the frontier a run occupies.
         """
         return None
 
     def occupied_states_hint(self) -> Optional[int]:
         """Optional bound on the *simultaneously occupied* state count.
 
-        Protocols whose declared state space is much larger than the set of
-        states any configuration actually occupies at one time (GSU19: a
-        reachable closure of ``~1.8*10^3`` states, but runs occupy well
-        under a hundred at once — agents' clock phases stay in a narrow
-        moving band) can declare that envelope here.  Only the dispatcher's
-        *no-kernel* count-batch cost model reads it, evaluating per-batch
-        cost at this bound instead of the full declared size; with the
-        compiled count kernel ``auto`` prices nothing and never calls this.
+        Protocols whose state space is much larger than the set of states
+        any configuration actually occupies at one time (GSU19: a reachable
+        closure of ``~1.8*10^3`` states, but runs occupy well under a
+        hundred at once — agents' clock phases stay in a narrow moving
+        band) can declare that envelope here.  Only the dispatcher's
+        *no-kernel* count-batch cost model reads it, below its force
+        threshold, evaluating per-batch cost at this bound instead of the
+        declared size; with the compiled count kernel ``auto`` prices
+        nothing and never calls this.
         It never affects correctness, only engine choice, so an empirically
         measured envelope is fine.  ``None`` (the default) makes the
         no-kernel model fall back to the declared state-space size.

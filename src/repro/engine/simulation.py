@@ -333,8 +333,8 @@ class Simulation:
     def _warm_views(self) -> None:
         """Compile every view declared by the predicate and the recorders.
 
-        For protocols with an eagerly registered state space (canonical
-        states / reachable closure) this evaluates each declared view over
+        For protocols with an eagerly registered state space (declared
+        canonical states) this evaluates each declared view over
         the whole space once, at simulation-construction time; per-check
         observation is then purely a vector reduction.  Lazily discovering
         protocols still extend the vectors as states register.

@@ -329,8 +329,9 @@ class TransitionTable:
         view.compile_state(decode(sid))`` for every registered state id, as
         a slice of a cached buffer.  Like the packed transition LUT, the
         vector is evaluated once per state id per table: the first call
-        compiles every registered state (for closure-registered protocols
-        that is the whole state space, at table-compile time), later calls
+        compiles every registered state (for protocols that declare
+        canonical states that is the whole state space, at table-compile
+        time), later calls
         only the states registered since.  The hot path — one dict lookup
         and an integer compare — makes per-check view access O(1) beyond
         the reduction itself.

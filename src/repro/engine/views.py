@@ -52,8 +52,8 @@ vector per view, so sharing a view across protocols is safe.
 Convergence predicates and recorders *declare* the views they evaluate
 (their ``views`` attribute); the :class:`~repro.engine.simulation.Simulation`
 driver warms the declared views against the engine's table up front, so for
-closure-registered protocols the whole property vector is compiled at
-table-compile time and the per-check cost is purely the reduction.
+protocols that declare canonical states the whole property vector is
+compiled at table-compile time and the per-check cost is purely the reduction.
 """
 
 from __future__ import annotations

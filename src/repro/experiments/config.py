@@ -145,8 +145,8 @@ class ExperimentConfig:
         Requires ``engine="auto"`` semantics: the dispatcher picks the
         fast-batch C kernel at ``10^7`` and the O(k)-memory
         ``CountBatchEngine`` at ``10^8`` (where per-agent engines would need
-        gigabytes and a minutes-scale construction loop; GSU19's
-        reachable-state closure is computed once, ~45 s, and cached).  The
+        gigabytes and a minutes-scale construction loop; the table grows
+        on the occupied frontier, so no state space is enumerated).  The
         Θ(n)-time baselines are capped hard — simulating them at this scale
         would measure nothing but wall clock.  Expect hours per seed at
         ``10^7`` and a day-scale run at ``10^8``; repetitions default to a
@@ -169,8 +169,9 @@ class ExperimentConfig:
         (:mod:`repro.engine._count_kernel`) executes whole collision-free
         batches — expected length ``~0.886 sqrt(n) ~ 886k`` interactions —
         per C call.  Peak memory stays under 1 GiB (the survival curve is
-        capped at ``2^23`` entries and the packed LUT at the closure size;
-        see ``count_batch.MAX_EXACT_N`` for the 2^53 exactness bound).
+        capped at ``2^23`` entries and the packed LUT by the reachable
+        closure's size; see ``count_batch.MAX_EXACT_N`` for the 2^53
+        exactness bound).
         The parallel-time budget is deliberately small: one unit is
         ``10^12`` interactions (~an hour at kernel throughput), and the
         paper's phenomena at this scale are per-parallel-time-unit

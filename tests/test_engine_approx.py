@@ -47,7 +47,6 @@ from repro.analysis.accuracy import (
     mean_occupancy,
 )
 from repro.analysis.stats import ks_two_sample, quantile_profile_distance
-from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine.convergence import AllAgentsSatisfy
 from repro.engine.dispatch import (
@@ -97,23 +96,6 @@ _BAND_TIMES = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 #: Disjoint seed ranges (same convention as the exact equivalence suite).
 _SEED_STRIDE = 100_000
-
-
-def _lazy_gsu19(n: int) -> GSULeaderElection:
-    """GSU19 at the calibration of ``n`` but without the closure BFS.
-
-    ``for_population(n)`` at count-batch scale pre-registers the reachable
-    closure (a ~45 s BFS amortised against count-space runs); the fluid
-    limit discovers its active states lazily in milliseconds, so the
-    scaling-speed test derives the (gamma, phi, psi) calibration from
-    ``n`` and pins ``n_hint`` below the closure gate.
-    """
-    params = GSUParams.from_population_size(n)
-    return GSULeaderElection(
-        GSUParams(
-            n_hint=1000, gamma=params.gamma, phi=params.phi, psi=params.psi
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +282,7 @@ def test_meanfield_gsu19_scaling_curve_under_a_second_per_point():
     for exponent in (6, 8, 10, 12):
         n = 10**exponent
         start = time.perf_counter()
-        engine = MeanFieldEngine(_lazy_gsu19(n), n)
+        engine = MeanFieldEngine(GSULeaderElection.for_population(n), n)
         engine.run_parallel_time(60.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, (

@@ -1,13 +1,15 @@
 """Tests for the reachable-state closure and GSU19's count-space support.
 
-The closure pass (:mod:`repro.engine.closure`) is what makes the headline
-GSU19 protocol *count-capable*: a finite ``canonical_states`` enumeration
-plus the ``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
-configuration-space engines at ``n = 10^7``–``10^8``.  Tier-1 tests use
-small clock calibrations (``gamma=4`` gives a 144-state closure computed in
-a fraction of a second); the default calibration (``K ~ 1.8*10^3`` states,
-a ~45 s BFS) is exercised by the ``slow``-marked acceptance test at
-``n = 10^8``.
+GSU19 is *count-capable* through its ``O(k)`` ``initial_counts`` alone: on
+either dispatch tier that hook lets ``engine="auto"`` send it to the
+configuration-space engine at ``n = 10^7``–``10^8``, whose transition table
+grows on the occupied frontier.  GSU19 declares no ``canonical_states`` at
+any ``n_hint``, so no engine or dispatch decision runs the ``Θ(K²)``
+closure BFS (:mod:`repro.engine.closure`).  The closure stays available as
+the explicit audit API, :meth:`GSULeaderElection.reachable_state_closure`;
+tier-1 audits it at the ``gamma=4`` calibration (144 states, a fraction of
+a second).  The default calibration (``K ~ 1.8*10^3`` states, a ~48 s BFS)
+is only ever dispatched and run here, never enumerated.
 """
 
 from __future__ import annotations
@@ -17,20 +19,37 @@ import tracemalloc
 import pytest
 
 from repro.core.params import GSUParams
-from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
+from repro.core import protocol as core_protocol
+from repro.core.protocol import GSULeaderElection
 from repro.core.state import zero_state
+from repro.engine import dispatch
 from repro.engine.closure import reachable_states
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.dispatch import auto_engine, state_space_size
+from repro.engine.dispatch import COUNTBATCH_FORCE_N, auto_engine, state_space_size
 from repro.engine.engine import SequentialEngine
 from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
 from repro.errors import ProtocolError
 
 
-def _small_gsu(n_hint: int = CLOSURE_MIN_N_HINT) -> GSULeaderElection:
+def _small_gsu(n_hint: int = COUNTBATCH_FORCE_N) -> GSULeaderElection:
     """A count-batch-scale GSU19 instance with a fast, small closure."""
     return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=4, phi=1, psi=1))
+
+
+def _forbid_closure_bfs(monkeypatch) -> None:
+    """Make every binding of the closure BFS raise if called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reachable-state closure BFS ran")
+
+    monkeypatch.setattr("repro.engine.closure.reachable_states", refuse)
+    monkeypatch.setattr(core_protocol, "reachable_states", refuse)
+
+
+def _tier(monkeypatch, kernels: bool) -> None:
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: kernels)
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: kernels)
 
 
 # ----------------------------------------------------------------------
@@ -95,18 +114,17 @@ def test_gsu_closure_is_transition_closed_and_seeded():
 
 
 def test_canonical_states_gated_on_population_scale():
-    """Small-n_hint instances keep the lazily discovered space (None), so
-    their seed-pinned count-engine trajectories are untouched; count-batch
-    scale instances declare the closure."""
-    small = GSULeaderElection(GSUParams(n_hint=4096, gamma=4, phi=1, psi=1))
-    assert small.canonical_states() is None
-    big = _small_gsu(n_hint=CLOSURE_MIN_N_HINT)
-    closure = big.canonical_states()
-    assert closure is not None
-    assert len(closure) == 144
-    assert state_space_size(big) == 144
-    # The explicit API computes the closure whatever the hint says.
-    assert tuple(small.reachable_state_closure()) == tuple(closure)
+    """Every GSU19 instance declares no canonical states (lazy discovery),
+    whatever its n_hint, while the explicit API still returns the
+    144-state closure."""
+    for n_hint in (4096, 10**7, COUNTBATCH_FORCE_N, 10**8, 10**12):
+        protocol = _small_gsu(n_hint=n_hint)
+        assert protocol.canonical_states() is None
+        assert state_space_size(protocol) is None
+        assert not protocol.complete_state_space()
+        closure = protocol.reachable_state_closure()
+        assert len(closure) == 144
+        assert closure[0] == zero_state()
 
 
 def test_closure_cache_is_shared_per_calibration():
@@ -123,13 +141,12 @@ def test_gsu_initial_counts_declared():
 
 
 # ----------------------------------------------------------------------
-# Closure-registered engines stay exact
+# Count-batch-scale calibrations stay exact
 # ----------------------------------------------------------------------
 def test_closure_registered_countbatch_matches_sequential_quantiles():
-    """With the closure eagerly registered, state-identifier layout changes
-    (BFS order instead of discovery order) — the count-batch convergence-time
-    distribution must not.  Same quantile-profile pin as the cross-engine
-    equivalence suite, on the closure-enabled calibration."""
+    """At the count-batch-scale gamma=4 calibration the count-batch
+    convergence-time distribution matches the sequential engine's.  Same
+    quantile-profile pin as the cross-engine equivalence suite."""
     from repro.analysis.stats import quantile_profile_distance
 
     n = 64
@@ -155,42 +172,29 @@ def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs(monkeypatch):
     """In the 3e6..3e7 window dispatch must not pay the default-calibration
     closure BFS, on either tier.  With the count kernel GSU19 goes to
     count-batch on its ``initial_counts`` alone (the table grows on the
-    realised frontier); without it the cost model prices the occupied
-    frontier out before canonical_states is consulted.
+    realised frontier); without it the cost model prices its occupied
+    frontier hint and keeps the per-agent engine.
 
-    The instance is built with the *default* calibration and an n_hint past
-    the closure gate, so canonical_states() genuinely would run the BFS if
-    consulted (this test would take tens of seconds if the guard
-    regressed).
+    The instance is built with the *default* calibration at a
+    count-batch-scale n_hint; the BFS is made to raise, so a regression
+    fails here instead of costing tens of seconds.
     """
-    from repro.core import protocol as core_protocol
-    from repro.engine import dispatch
-    from repro.engine.dispatch import COUNTBATCH_FORCE_N
     from repro.engine.fast_batch import FastBatchEngine
 
-    protocol = GSULeaderElection(
-        GSUParams.from_population_size(COUNTBATCH_FORCE_N)
-    )
-    assert protocol.params.n_hint >= core_protocol.CLOSURE_MIN_N_HINT
-    params = protocol.params
-    key = (params.gamma, params.phi, params.psi)
-    cached_before = key in core_protocol._CLOSURE_CACHE
+    _forbid_closure_bfs(monkeypatch)
+    protocol = GSULeaderElection.for_population(COUNTBATCH_FORCE_N)
     for count_kernel, expected in ((True, CountBatchEngine), (False, FastBatchEngine)):
         monkeypatch.setattr(
             dispatch, "count_kernel_available", lambda value=count_kernel: value
         )
         assert auto_engine(protocol, 5_000_000) is expected
-        if not cached_before:
-            assert key not in core_protocol._CLOSURE_CACHE, (
-                "auto dispatch computed the reachable closure for a decision "
-                "that does not need it"
-            )
 
 
 def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():
     """End-to-end through Simulation: a count-batch-scale GSU19 instance
     dispatches to the configuration-space engine and runs O(k) from
-    initial_counts (no O(n) allocation — population 10^8 would not fit)."""
+    initial_counts (no O(n) allocation — population 10^8 would not fit),
+    on a table that discovers its states lazily."""
     n = 10**8
     simulation = Simulation(_small_gsu(n_hint=n), n, rng=5, engine_cls="auto")
     assert isinstance(simulation.engine, CountBatchEngine)
@@ -199,16 +203,28 @@ def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():
     assert sum(counts.values()) == n
 
 
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernel", "no-kernel"])
+def test_auto_construction_at_1e8_never_runs_the_closure_bfs(monkeypatch, kernels):
+    """On each tier, building an ``auto`` simulation of GSU19 at 10^8 takes
+    the count-batch engine without ever enumerating the reachable closure:
+    count eligibility is the O(k) ``initial_counts`` alone."""
+    _tier(monkeypatch, kernels)
+    _forbid_closure_bfs(monkeypatch)
+    n = 10**8
+    protocol = GSULeaderElection.for_population(n, gamma=4)
+    simulation = Simulation(protocol, n, rng=1, engine_cls="auto")
+    assert isinstance(simulation.engine, CountBatchEngine)
+    assert sum(count for _, count in simulation.engine.state_count_items()) == n
+
+
 # ----------------------------------------------------------------------
-# The headline acceptance run (slow: ~1 min closure BFS at the default
-# calibration)
+# The headline acceptance run (no closure BFS: the table grows lazily)
 # ----------------------------------------------------------------------
-@pytest.mark.slow
 def test_headline_auto_dispatch_at_default_calibration_1e8():
     """`run_protocol(GSULeaderElection.for_population(10**8), 10**8,
     engine="auto")` must dispatch to CountBatchEngine and simulate with peak
-    memory independent of n (the packed table for the ~1.8k-state closure
-    plus O(sqrt(n)) survival curve — tens of MB, not the >= 10 GB a
+    memory independent of n (a packed table over the discovered states plus
+    the O(sqrt(n)) survival curve — tens of MB, not the >= 10 GB a
     per-agent engine would need)."""
     n = 10**8
     protocol = GSULeaderElection.for_population(n)

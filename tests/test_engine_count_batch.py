@@ -114,8 +114,7 @@ def test_leader_count_monotone_on_slow_protocol():
 
 
 def test_works_with_lazily_discovered_state_space():
-    """A small-n_hint GSU19 instance declares no canonical states (its
-    reachable closure only kicks in at count-batch scale); the engine must
+    """GSU19 declares no canonical states at any n_hint; the engine must
     grow its count vector (and the shared table) as new states appear."""
     n = 256
     engine = CountBatchEngine(GSULeaderElection.for_population(n), n, rng=7)

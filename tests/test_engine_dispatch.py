@@ -1,11 +1,12 @@
 """The two count-dispatch tiers of ``engine="auto"``.
 
-From ``_COUNTBATCH_MIN_N`` agents the choice depends only on whether the
-compiled count kernel is available.  With it, every protocol with an O(k)
-``initial_counts`` goes to ``CountBatchEngine`` without the dispatcher ever
-enumerating states; without it, the Python-tier cost model decides exactly
-as it did before the kernel tier stopped being priced.  Below the threshold
-the choice ignores the count kernel altogether.  Both kernels come from one
+From ``_COUNTBATCH_MIN_N`` agents count eligibility is one rule on both
+tiers, an O(k) ``initial_counts``, and the choice depends only on whether
+the compiled count kernel is available.  With it, every eligible protocol
+goes to ``CountBatchEngine`` without the dispatcher ever enumerating
+states; without it, eligibility alone decides from ``COUNTBATCH_FORCE_N``
+and the Python-tier cost model below that.  Below the threshold the choice
+ignores the count kernel altogether.  Both kernels come from one
 compiler probe, so a tier patches both predicates together.
 """
 
@@ -17,7 +18,11 @@ from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine import dispatch
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.dispatch import _COUNTBATCH_MIN_N, auto_engine
+from repro.engine.dispatch import (
+    COUNTBATCH_FORCE_N,
+    _COUNTBATCH_MIN_N,
+    auto_engine,
+)
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.protocols.approximate_majority import ApproximateMajority
@@ -29,8 +34,7 @@ from repro.protocols.lottery import LotteryLeaderElection
 from repro.protocols.slow import SlowLeaderElection
 
 #: Every in-repo protocol with an O(k) ``initial_counts``, built for ``n``.
-#: The default-calibration GSU19 keeps its ``n_hint`` below the closure
-#: gate, so no factory here runs that calibration's closure BFS.
+#: No factory here runs a closure BFS: GSU19 discovers states lazily.
 _COUNTS_PROTOCOLS = {
     "epidemic": lambda n: OneWayEpidemic(),
     "approximate-majority": lambda n: ApproximateMajority(),
@@ -39,9 +43,9 @@ _COUNTS_PROTOCOLS = {
     "lottery": LotteryLeaderElection.for_population,
     "junta": JuntaElection.for_population,
     "gs18": GS18LeaderElection.for_population,
-    "gsu19": lambda n: GSULeaderElection.for_population(min(n, 10**7)),
-    # Closure-registered from n_hint >= CLOSURE_MIN_N_HINT (a 144-state
-    # closure at this calibration, computed in well under a second).
+    "gsu19": GSULeaderElection.for_population,
+    # A 24-state frontier hint, priced unprofitable below the force
+    # threshold.
     "gsu19-gamma4": lambda n: GSULeaderElection(
         GSUParams(n_hint=n, gamma=4, phi=1, psi=1)
     ),
@@ -92,20 +96,22 @@ def test_kernel_tier_never_enumerates_states(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# No-kernel tier: the Python-tier cost model, unchanged
+# No-kernel tier: forced from COUNTBATCH_FORCE_N, priced below it
 # ----------------------------------------------------------------------
 _F, _C = FastBatchEngine, CountBatchEngine
 _NO_KERNEL_SIZES = (10**6, 3 * 10**6, 10**7, 3 * 10**7)
-#: The decisions the cost model made before the kernel tier was unpriced.
+#: Below 3e7 the cost model's decisions; at 3e7 (= COUNTBATCH_FORCE_N)
+#: every protocol goes to count-batch on its initial_counts alone, lazily
+#: discovering ones (lottery, junta, gs18, gsu19) included.
 _NO_KERNEL_DECISIONS = {
     "epidemic": (_F, _C, _C, _C),
     "approximate-majority": (_F, _C, _C, _C),
     "exact-majority": (_F, _F, _C, _C),
     "slow": (_F, _C, _C, _C),
-    "lottery": (_F, _F, _F, _F),
-    "junta": (_F, _F, _F, _F),
-    "gs18": (_F, _F, _F, _F),
-    "gsu19": (_F, _F, _F, _F),
+    "lottery": (_F, _F, _F, _C),
+    "junta": (_F, _F, _F, _C),
+    "gs18": (_F, _F, _F, _C),
+    "gsu19": (_F, _F, _F, _C),
     "gsu19-gamma4": (_F, _F, _F, _C),
 }
 
@@ -117,6 +123,16 @@ def test_no_kernel_tier_decisions_are_unchanged(monkeypatch, name):
         auto_engine(_COUNTS_PROTOCOLS[name](n), n) for n in _NO_KERNEL_SIZES
     )
     assert chosen == _NO_KERNEL_DECISIONS[name]
+
+
+def test_no_kernel_tier_forces_without_enumerating_states(monkeypatch):
+    """From the force threshold the no-kernel tier reads ``initial_counts``
+    only: neither ``canonical_states`` nor the frontier hint is consulted,
+    and a protocol without counts keeps the per-agent engine."""
+    _tier(monkeypatch, False)
+    for n in (COUNTBATCH_FORCE_N, 10**8):
+        assert auto_engine(_EnumerationSpy(), n) is CountBatchEngine
+        assert auto_engine(_NoCountsSpy(), n) is FastBatchEngine
 
 
 # ----------------------------------------------------------------------

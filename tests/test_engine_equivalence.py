@@ -81,7 +81,7 @@ def _samples_by_engine(workload: str, n: int, repetitions: int) -> Dict[str, Lis
 # ----------------------------------------------------------------------
 
 #: Per-workload quantile-distance bound for the 24-seed sanity check.  The
-#: gamma=4 clock of the closure-registered calibration has a much wider
+#: gamma=4 clock of the "gsu19-closure" calibration has a much wider
 #: convergence-time spread (the sequential engine's *self*-distance across
 #: disjoint seed ranges reaches ~1.0 there at this sample size), so its
 #: bound is proportionally looser; the strict check is the 80-seed KS test

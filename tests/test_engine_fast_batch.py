@@ -342,10 +342,11 @@ def test_auto_engine_policy_without_c_kernel(monkeypatch):
     assert auto_engine(epidemic, 10**6) is FastBatchEngine
     assert auto_engine(epidemic, 10**7) is CountBatchEngine
     assert auto_engine(epidemic, 1 << 28) is CountBatchEngine
-    # A small-n_hint GSU19 instance keeps its lazily discovered state space
-    # (no reachable closure), so the count engines are never dispatched.
+    # From the force threshold an O(k) initial_counts alone decides, so a
+    # small-n_hint GSU19 instance (lazily discovered states) goes to
+    # count-batch too.
     small_gsu = GSULeaderElection.for_population(4096)
-    assert auto_engine(small_gsu, 1 << 28) is FastBatchEngine
+    assert auto_engine(small_gsu, 1 << 28) is CountBatchEngine
 
 
 def test_auto_engine_policy_with_c_kernel(monkeypatch):
@@ -366,7 +367,8 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     4-state protocol crosses over later than a 2-state one, and above the
     force threshold count-capability alone decides (per-agent construction
     is the binding constraint there, not throughput).  With the count
-    kernel nothing is priced: an O(k) ``initial_counts`` is enough."""
+    kernel nothing is priced.  Count-capability is an O(k)
+    ``initial_counts`` on both tiers."""
     from repro.engine import dispatch
     from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
@@ -375,44 +377,47 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     # the measured crossover past 3e6 (the 2-state crossover).
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     majority = ExactMajority.for_population(3 * 10**6)
-    assert count_capable(majority, 3 * 10**6) == 4
+    assert count_capable(majority, 3 * 10**6)
     assert auto_engine(majority, 3 * 10**6) is FastBatchEngine
     big_majority = ExactMajority.for_population(10**7)
     assert auto_engine(big_majority, 10**7) is CountBatchEngine
     # Kernel tier: the same 3e6 instance goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
     assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
-    # GS18 declares initial_counts but no finite state space: count-batch
-    # with the kernel (its table grows lazily), fastbatch without it.
+    # GS18 declares initial_counts but no state space and no frontier hint:
+    # count-capable on both tiers (its table grows lazily).  Without the
+    # kernel it is forced at the threshold; below it there is nothing to
+    # price, so it stays on fastbatch.
     from repro.protocols.gs18 import GS18LeaderElection
 
     gs18 = GS18LeaderElection.for_population(COUNTBATCH_FORCE_N)
-    assert count_capable(gs18, COUNTBATCH_FORCE_N) is None
+    assert count_capable(gs18, COUNTBATCH_FORCE_N)
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
-    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
+    assert auto_engine(gs18, 10**7) is FastBatchEngine
 
 
 def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
-    """A count-batch-scale GSU19 instance declares its reachable closure and
-    is force-dispatched to the configuration-space engine at sizes where
-    per-agent arrays stop being viable.  A small calibration keeps the
-    closure BFS fast; the default calibration is covered in the slow suite
-    (test_engine_closure.py)."""
-    from repro.core.params import GSUParams
+    """A count-batch-scale GSU19 instance is force-dispatched to the
+    configuration-space engine at sizes where per-agent arrays stop being
+    viable, on both tiers, on its ``initial_counts`` alone: the reachable
+    closure is never computed (its per-calibration cache stays untouched).
+    """
+    from repro.core import protocol as core_protocol
     from repro.engine import dispatch
-    from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
+    from repro.engine.dispatch import COUNTBATCH_FORCE_N
 
-    protocol = GSULeaderElection(
-        GSUParams(n_hint=COUNTBATCH_FORCE_N, gamma=4, phi=1, psi=1)
-    )
-    states = count_capable(protocol, COUNTBATCH_FORCE_N)
-    assert states is not None and states > 64  # beyond the old flat cap
-    assert auto_engine(protocol, COUNTBATCH_FORCE_N) is CountBatchEngine
-    # Below the force threshold, on the NumPy tier this small closure's
-    # modelled per-batch cost loses to the fast-batch C kernel; with the
-    # compiled count kernel nothing is priced and the same instance goes to
-    # count-batch.
+    protocol = GSULeaderElection.for_population(COUNTBATCH_FORCE_N)
+    cache_before = dict(core_protocol._CLOSURE_CACHE)
+    for kernels in (True, False):
+        monkeypatch.setattr(dispatch, "kernel_available", lambda v=kernels: v)
+        monkeypatch.setattr(dispatch, "count_kernel_available", lambda v=kernels: v)
+        assert auto_engine(protocol, COUNTBATCH_FORCE_N) is CountBatchEngine
+    assert core_protocol._CLOSURE_CACHE == cache_before
+    # Below the force threshold the NumPy tier prices GSU19's frontier hint
+    # and keeps fastbatch; with the compiled count kernel nothing is priced
+    # and the same instance goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(protocol, 10**7) is FastBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)

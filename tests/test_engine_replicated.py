@@ -154,16 +154,15 @@ def test_count_matrix_shape_and_totals():
 def test_replica_throughput_beats_scalar_runs():
     """32-replica GSU19 kernel throughput >= 3x 32 scalar runs at n = 10^6.
 
-    The workload is the closure calibration (the one count-batch actually
-    runs at headline scale; k = 1789 states, a ~25 MB packed table per
-    engine): a scalar sweep cell pays protocol construction, canonical
-    state registration and table packing per run, while the replica engine
-    pays them once for all 32 rows and hands the kernel one (32, k) count
-    matrix per call.  Both legs are warmed first so the one-time closure
-    BFS (cached per (gamma, phi, psi) across instances) prices neither
-    side, and each leg is timed as the best of three trials — shared-host
-    wall clocks here see multiplicative noise bursts that a single-shot
-    measurement cannot ride out.
+    The workload is the headline calibration (the one count-batch actually
+    runs at headline scale): a scalar sweep cell pays protocol construction
+    and engine setup per run, while the replica engine hands the kernel one
+    (32, k) count matrix per call.  GSU19 discovers its states lazily, so
+    each row, like each scalar run, grows its own table.  Both legs are
+    warmed first so the kernel build prices neither side, and each leg is
+    timed as the best of three trials — shared-host wall clocks here see
+    multiplicative noise bursts that a single-shot measurement cannot ride
+    out.
     """
     n = 10**6
     replicas = 32
@@ -173,7 +172,7 @@ def test_replica_throughput_beats_scalar_runs():
         return GSULeaderElection.for_population(5 * 10**7)
 
     seeds = spawn_seeds(777, replicas)
-    # Warm: closure BFS + kernel build land outside the timed region.
+    # Warm: the kernel build lands outside the timed region.
     warm = CountBatchEngine(factory(n), n, rng=1, kernel="c")
     warm.run(n)
 

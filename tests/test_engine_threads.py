@@ -36,6 +36,7 @@ from repro.engine.dispatch import releases_gil
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.parallel import run_cells, run_many
 from repro.engine.rng import spawn_seeds
+from repro.engine.state import StateEncoder
 from repro.engine.views import PredicateView
 from repro.errors import ConfigurationError
 from repro.experiments.store import ExperimentStore
@@ -235,17 +236,24 @@ def test_auto_backend_selection():
 # TransitionTable under concurrent extension
 # ----------------------------------------------------------------------
 def _closure_protocol() -> GSULeaderElection:
-    # The closure-parameterised GSU19 protocol declares its complete
-    # reachable state space (~1.8k states) — a real surface to hammer.
     from repro.core.params import GSUParams
 
     return GSULeaderElection(GSUParams(n_hint=10**8, gamma=4, phi=1, psi=1))
 
 
+def _closure_table(protocol: GSULeaderElection):
+    # A table over the protocol's whole reachable state space (144 states
+    # at this calibration) — a real surface to hammer.  GSU19 itself
+    # discovers states lazily, so the closure seeds the encoder explicitly.
+    return protocol.compile(
+        encoder=StateEncoder(protocol.reachable_state_closure())
+    )
+
+
 def test_concurrent_table_extension_hammer():
     """8 threads extending one table agree with a serial build exactly."""
     protocol = _closure_protocol()
-    table = protocol.compile()
+    table = _closure_table(protocol)
     k = len(table.encoder)
     assert k > 100  # the hammer needs a real state space
     pairs = [
@@ -278,7 +286,7 @@ def test_concurrent_table_extension_hammer():
     assert not errors
 
     # Every structure must match a fresh serial build over the same pairs.
-    reference = _closure_protocol().compile()
+    reference = _closure_table(_closure_protocol())
     for responder, initiator in pairs:
         assert table.delta[(responder, initiator)] == reference.apply(
             responder, initiator

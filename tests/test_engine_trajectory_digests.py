@@ -45,10 +45,9 @@ _CHUNKS = 3
 #: protocol name -> (factory, n).  Fresh protocol per run: identifier layout
 #: of lazily discovered states (and hence count-batch trajectories) depends
 #: on the shared table's compilation history.  "gsu19-closure" pins the
-#: closure-registered layout (count-batch-scale n_hint, tiny calibration so
-#: the BFS is sub-second): identifiers come from the deterministic BFS
-#: discovery order, making the count-batch rows machine-independent even
-#: though the engine runs at a small n here.
+#: Γ = 4 calibration at a count-batch-scale n_hint.  That calibration used
+#: to pre-register its reachable closure (BFS-order identifiers); like every
+#: GSU19 instance it now discovers states lazily.
 PROTOCOLS = {
     "epidemic": (lambda: OneWayEpidemic(), 256),
     "exact-majority": (lambda: ExactMajority.for_population(200), 200),
@@ -84,12 +83,11 @@ ENGINES = {
 }
 
 #: The pins.  sequential == fastbatch == fastbatch-numpy per protocol is the
-#: bit-for-bit identical-trajectory guarantee, not an accident.  The
-#: "gsu19-closure" sequential-family pins coincide with "gsu19" because the
-#: digest window (6 parallel-time units) ends before any clock phase reaches
-#: 2, where the two calibrations first diverge; the count-batch pins differ
-#: because the closure-registered identifier layout (BFS order) replaces the
-#: lazy discovery order.
+#: bit-for-bit identical-trajectory guarantee, not an accident.  Every
+#: "gsu19-closure" pin coincides with "gsu19" because the digest window
+#: (6 parallel-time units) ends before any clock phase reaches 2, where the
+#: two calibrations first diverge, and both discover states lazily in the
+#: same order.
 EXPECTED = {
     "epidemic/countbatch": "b96cd061b46bc019f8761d17318c2463b1a71818c182047ac7455a7982c88082",
     "epidemic/fastbatch": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
@@ -107,7 +105,7 @@ EXPECTED = {
     "gsu19/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
-    "gsu19-closure/countbatch": "80c1f878a63a4a11f162699bc21b86b5f2872e1caf5b224e1892870d4fb3f1fb",
+    "gsu19-closure/countbatch": "0d4aed97e0cec4966664c74436d316162a7aa1616175ae5d161f4102bffd2770",
     "gsu19-closure/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
