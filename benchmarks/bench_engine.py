@@ -15,10 +15,11 @@ Two entry points:
   across the exact engines at ``n ∈ {10^4, 10^5, 10^6, 10^7}`` on the
   one-way epidemic, plus the GSU19 count-space section (exact engines at
   ``n ∈ {10^6, 10^7}`` on the headline protocol, tables growing on the
-  occupied frontier — the numbers behind the dispatcher's no-kernel
-  occupied-frontier cost model; ``countbatch`` through the compiled count
-  kernel and ``countbatch-python`` on the portable path, plus a kernel-only
-  ``countbatch`` cell at ``n = 10^9``); writes the machine-readable
+  occupied frontier — countbatch against the per-agent engines that the
+  no-kernel dispatcher keeps GSU19 on below ``3*10^7``; ``countbatch``
+  through the compiled count kernel and ``countbatch-python`` on the
+  portable path, plus a kernel-only ``countbatch`` cell at ``n = 10^9``);
+  writes the machine-readable
   ``BENCH_engine.json`` at the repo root so the performance trajectory is
   tracked PR over PR.  Skip the GSU19 section with ``--no-gsu19``.
   ``--observed`` adds the observation-pipeline section:
@@ -312,9 +313,8 @@ def run_gsu19_ablation(
     starts empty and grows on the frontier the run occupies.  Each engine
     first *warms* the configuration for two parallel-time units from a
     fresh engine before the timed window — GSU19's occupied frontier grows
-    from 1 to dozens of states over the first rounds and the steady-state
-    frontier is what the dispatcher's no-kernel cost model is calibrated
-    against.
+    from 1 to dozens of states over the first rounds, and the steady-state
+    frontier is what a count batch pays for.
 
     ``kernel_sizes`` adds count-space-only cells where just the
     kernel-backed ``countbatch`` engine is timed (see
@@ -369,8 +369,8 @@ def run_gsu19_ablation(
                 "note": (
                     "tables grow on the occupied frontier (no closure "
                     "enumerated); occupied_states is the frontier at the "
-                    "end of the timed window — the quantity the auto "
-                    "dispatcher's no-kernel count-batch cost model keys on; "
+                    "end of the timed window — the quantity a count "
+                    "batch's cost follows; "
                     "'countbatch' runs the compiled count kernel where "
                     "count_kernel_available, 'countbatch-python' pins the "
                     "portable path"

@@ -107,10 +107,10 @@ class GSULeaderElection(PopulationProtocol):
         ``n = 10^6``-``10^7``, versus ``K ~ 1.8*10^3`` reachable): the phase
         clock keeps each sub-population's phases in a narrow moving band.
         The bound below — a few phases' worth of every role's field
-        combinations — envelopes every measurement with ~2x headroom.  Only
-        the dispatcher's no-kernel count-batch cost model reads it, below
-        its force threshold (engine choice only, never correctness); with
-        the compiled count kernel ``auto`` does not consult it.
+        combinations — envelopes every measurement with ~2x headroom.  No
+        library code reads it (``auto`` decides without a frontier bound);
+        only the end-to-end benchmark's dispatch label does, and the hook
+        goes away once that read is dropped.
         """
         return 4 * self.params.gamma + 4 * (self.params.phi + self.params.psi)
 

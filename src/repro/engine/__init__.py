@@ -97,8 +97,10 @@ countbatch       exact in    occupied-frontier work      huge n with an O(k)
                              compiled count kernel       count kernel (auto:
                              with a C compiler           from 3*10^6 with the
                                                          kernel; without it
-                                                         by cost model,
-                                                         forced from 3*10^7)
+                                                         from 3*10^6 for a
+                                                         declared state
+                                                         space, else from
+                                                         3*10^7)
 tauleap          APPROXIMATE O(k^2) per leap, leaps      opt-in speed knob at
                              span many interactions      huge n when KS-level
                              when dynamics are smooth    agreement suffices
@@ -121,14 +123,14 @@ this table.  From ``3*10^6`` agents a protocol is *count-capable* on one
 rule, whatever the tier: it declares an ``O(k)`` ``initial_counts``.
 Count-batch's table then grows lazily on the frontier the run occupies, so
 no state space is enumerated (GSU19 discovers its states lazily at every
-size).  With the compiled count kernel every count-capable protocol goes
-to count-batch.  Without it the dispatcher forces count-batch from
-``3*10^7``, where per-agent construction is O(n) in time and memory, and
-below that evaluates a measured per-batch cost model at the protocol's
-occupied-frontier bound (``occupied_states_hint()``, else the declared
-state-space size) against the fast-batch reference.  Everything else gets
-fastbatch above the crossover for whichever hot path is actually
-available, sequential otherwise.
+size).  A count-capable protocol goes to count-batch when the compiled
+count kernel is available, or from ``3*10^7`` agents, where per-agent
+construction is O(n) in time and memory, or when it declares its complete
+state space (``complete_state_space()``; the 2-4 state protocols here,
+where the Python count path measured 1.8x faster than fast-batch's NumPy
+waves on exact majority at ``3*10^6``).  Everything else gets fastbatch
+above the crossover for whichever hot path is actually available,
+sequential otherwise.
 
 The :mod:`repro.engine.simulation` module layers run management (convergence
 predicates, interaction budgets, recorders, result objects) on top of the

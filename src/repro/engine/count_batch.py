@@ -11,9 +11,10 @@ population-protocol simulation (see PAPERS.md).
 Per-run work follows the *occupied* state frontier ``k`` — quadratic scalar
 hypergeometric splits while ``k`` is small, one compacted vectorised split
 per pairing row beyond ``_MVH_SCALAR_MAX_OCCUPIED`` — so the
-per-interaction cost vanishes as the population grows; the dispatcher's
-cost model (:mod:`repro.engine.dispatch`) is calibrated against exactly
-these paths.
+per-interaction cost vanishes as the population grows.  Without the
+compiled count kernel this Python path beats fast-batch's NumPy waves on
+the small declared state spaces, which is why :mod:`repro.engine.dispatch`
+sends those protocols here from ``3*10^6`` agents.
 
 Exactness (in distribution)
 ===========================
@@ -472,9 +473,9 @@ class CountBatchEngine(BaseEngine):
         Only *occupied* colors are visited (empty ones never consumed a
         draw, so skipping them is RNG-stream-identical): per-batch cost
         follows the occupied frontier, not the declared state-space size —
-        the property the dispatcher's cost model relies on for protocols
-        like GSU19 whose reachable closure has ``~10^3`` states while runs
-        occupy a few hundred at a time.
+        what makes count-batch viable for protocols like GSU19 whose
+        reachable closure has ``~10^3`` states while runs occupy a few
+        hundred at a time.
         """
         out = np.zeros(colors.shape[0], dtype=np.int64)
         m = int(nsample)

@@ -24,11 +24,11 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   processes collision-free runs of ``Θ(sqrt(n))`` interactions per batched
   update whose cost follows the *occupied* state frontier.  From
   ``_COUNTBATCH_MIN_N`` agents every protocol with an ``O(k)``
-  ``initial_counts`` is eligible, on either tier (below): with the compiled
-  count kernel it is dispatched to it; without the kernel a measured cost
-  model decides below ``COUNTBATCH_FORCE_N`` and eligibility alone above
-  it — the per-agent engines' ``O(n)`` arrays and construction loops stop
-  being viable long before ``10^8``.
+  ``initial_counts`` is eligible, and one rule (below) decides whether it
+  is dispatched there: the compiled count kernel is available, or
+  ``n >= COUNTBATCH_FORCE_N``, or the protocol declares its complete state
+  space.  The per-agent engines' ``O(n)`` arrays and construction loops
+  stop being viable long before ``10^8``.
 
 The approximate tier (never auto-selected)
 ==========================================
@@ -57,38 +57,40 @@ exact tier is pinned by ``tests/test_engine_approx.py`` via
   fluctuations; says nothing about distributions or hitting times of
   individual runs.
 
-Count dispatch: two tiers
-=========================
+Count dispatch: one rule
+========================
 
 From ``_COUNTBATCH_MIN_N`` agents (and never below it) ``auto`` may pick
-``CountBatchEngine``.  Eligibility is one rule on both tiers: an ``O(k)``
-``initial_counts`` (:func:`count_capable`).  The transition table then
-grows lazily on the frontier the run actually occupies, so no protocol
-needs a declared state space to be count-dispatched.  How ``auto`` decides
-for an eligible protocol depends only on whether the compiled count kernel
-(:mod:`repro.engine._count_kernel`, built by the same compiler probe as the
-fast-batch kernel) is available on the machine:
+``CountBatchEngine``.  Eligibility is an ``O(k)`` ``initial_counts``
+(:func:`count_capable`); the transition table then grows lazily on the
+frontier the run actually occupies, so no protocol needs a declared state
+space to be count-dispatched.  An eligible protocol goes to
+``CountBatchEngine`` when the first of these holds, tested in this order:
 
-* **Kernel tier** — every eligible protocol goes to ``CountBatchEngine``.
-  The dispatcher never calls ``canonical_states`` or
-  ``occupied_states_hint`` on this tier.  A kernel batch costs about a
-  microsecond plus a LUT lookup per occupied pairing cell and advances
-  ``~0.886 sqrt(n)`` interactions, so the realised frontier, not a bound
-  on it, sets the cost; the per-agent engines' ``O(n)`` construction,
-  census and checkpoints go away.
-* **No-kernel tier** — from ``COUNTBATCH_FORCE_N`` eligibility alone
-  decides.  Below it the count-batch update runs in Python, so it is
-  priced.  One update advances an expected ``sqrt(pi * n / 4)``
-  interactions; its cost is a fixed overhead plus a term in the number
-  ``k`` of occupied states (scalar hypergeometric splits while ``k`` is
-  small, one compacted vectorised split per pairing row beyond that — see
-  :mod:`repro.engine.count_batch`).  The model evaluates that cost at the
-  protocol's occupied-frontier bound
-  (:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`,
-  else the declared state-space size) against the fast-batch engine's
-  measured per-interaction cost; a protocol that declares neither stays on
-  the per-agent engines.  All constants were measured on the
-  ``BENCH_engine.json`` workloads.
+* **the compiled count kernel is available**
+  (:mod:`repro.engine._count_kernel`, built by the same compiler probe as
+  the fast-batch kernel).  A kernel batch costs about a microsecond plus a
+  LUT lookup per occupied pairing cell and advances ``~0.886 sqrt(n)``
+  interactions, so the realised frontier sets the cost and the per-agent
+  engines' ``O(n)`` construction, census and checkpoints go away;
+* **``n >= COUNTBATCH_FORCE_N``**, where the per-agent engines' ``O(n)``
+  construction is the binding constraint, not throughput;
+* **the protocol declares its complete state space**
+  (:meth:`~repro.engine.protocol.PopulationProtocol.complete_state_space`,
+  the same test :func:`~repro.engine.count_batch.replicated_engine` uses
+  to share one table across rows).  The declared spaces in this
+  repository have 2–4 states, where the Python count path wins: measured
+  without the kernels (exact majority, ``n = 3*10^6``, 200 parallel-time
+  units, construction included, median of 3 seeds) count-batch takes
+  31.2 s against fast-batch's 56.0 s on its NumPy wave path.  Lazily
+  discovering protocols (GSU19, GS18, lottery, junta) stay on the
+  per-agent engines below the force threshold, where fast-batch measured
+  1.3–6x faster for GSU19, GS18 and lottery; junta, 15–25% slower there,
+  is the one known miss.
+
+Because of that order the kernel tier and the forced range never call
+``canonical_states``.  No dispatch path reads a frontier bound
+(:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`).
 
 Below ``_COUNTBATCH_MIN_N`` the policy is deliberately kernel-independent:
 every ``auto`` choice there is in the bit-for-bit sequential-identical
@@ -101,13 +103,12 @@ randomness differently, each with its own digest pins.)
 from __future__ import annotations
 
 import difflib
-import math
 from typing import Dict, Optional, Type, Union
 
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
-from repro.engine.count_batch import _MVH_SCALAR_MAX_OCCUPIED, CountBatchEngine
+from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
@@ -124,13 +125,11 @@ __all__ = [
     "auto_engine",
     "canonical_name",
     "count_capable",
-    "countbatch_batch_seconds",
     "releases_gil",
     "removed_engine_message",
     "replica_capable",
     "resolve_engine",
     "scenario_capable",
-    "state_space_size",
 ]
 
 #: Named engines accepted everywhere an engine specification is taken.
@@ -163,90 +162,23 @@ _FASTBATCH_MIN_N = 50_000
 _FASTBATCH_MIN_N_CKERNEL = 256
 
 #: Population size below which the configuration-space batched engine is
-#: never auto-selected, whatever the cost model says.  Deliberately NOT
-#: lowered when the C kernel is missing even though count-batch overtakes
-#: the NumPy wave path already around 2*10^5: below this single threshold
-#: every auto choice is in the bit-for-bit sequential-identical engine
-#: family, so seed-pinned results agree across machines with and without a
-#: C compiler (the price is at most ~2x throughput for compiler-less users
-#: in the 2*10^5..3*10^6 range — they can opt into engine="countbatch"
-#: explicitly).
+#: never auto-selected.  Deliberately NOT lowered when the C kernel is
+#: missing even though count-batch overtakes the NumPy wave path already
+#: around 2*10^5: below this single threshold every auto choice is in the
+#: bit-for-bit sequential-identical engine family, so seed-pinned results
+#: agree across machines with and without a C compiler (the price is at
+#: most ~2x throughput for compiler-less users in the 2*10^5..3*10^6 range
+#: — they can opt into engine="countbatch" explicitly).
 _COUNTBATCH_MIN_N = 3_000_000
 
 #: Population size from which, on the no-kernel tier, a count-capable
-#: protocol is dispatched to the configuration-space engine unconditionally
-#: (the kernel tier already does so from _COUNTBATCH_MIN_N): the per-agent
+#: protocol is dispatched to the configuration-space engine even when it
+#: discovers its states lazily (the kernel tier, and a declared complete
+#: state space, already go there from _COUNTBATCH_MIN_N): the per-agent
 #: engines build an O(n) Python list and O(n) arrays at construction
 #: (~0.5-1 GB and a minutes-scale encode loop at this size, several GB at
 #: 10^8), so the throughput comparison stops being the binding constraint.
 COUNTBATCH_FORCE_N = 30_000_000
-
-# --- measured no-kernel count-batch cost model (see BENCH_engine.json) --
-#: Fixed per-batch overhead: survival-curve inversion, the participant /
-#: responder hypergeometric splits and the Python bookkeeping around them.
-_COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.7e-5
-#: Per-batch cost while the occupied frontier fits the scalar sequential-
-#: conditional path (quadratic: one ~1.7us scalar hypergeometric per
-#: occupied pairing cell).
-_COUNTBATCH_SCALAR_CELL_SECONDS = 1.7e-6
-#: Per-occupied-state per-batch cost on the vectorised pairing-row path
-#: (one compacted multivariate hypergeometric per row, ~14us flat plus the
-#: row's share of the bulk update; measured ~30us/row on the GSU19
-#: workload at n = 10^7).
-_COUNTBATCH_ROW_SECONDS = 3.0e-5
-#: Fast-batch reference cost per interaction.  The C-kernel figure is kept
-#: on purpose although only the no-kernel tier reads it, so that tier still
-#: makes the choices it always made: ~34-38 M interactions/s on the
-#: BENCH_engine workloads at n >= 10^6.
-_FASTBATCH_SECONDS_PER_INTERACTION = 2.9e-8
-
-
-def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
-    """Number of canonical states the protocol declares, or ``None``.
-
-    ``None`` means the protocol discovers its state space lazily; without
-    an occupied-frontier hint the no-kernel cost model then has nothing to
-    price.  Accepts any iterable from ``canonical_states`` — sized
-    containers are measured with ``len``; generator-valued enumerations are
-    counted by consuming the (fresh) iterator.
-    """
-    canonical = protocol.canonical_states()
-    if canonical is None:
-        return None
-    try:
-        return len(canonical)  # type: ignore[arg-type]
-    except TypeError:
-        return sum(1 for _ in canonical)
-
-
-def countbatch_batch_seconds(occupied: int) -> float:
-    """Modelled cost of one Python-path count-batch update at an occupied
-    frontier.
-
-    Only the no-kernel tier prices count-batch (module docstring).  The
-    model is piecewise in the frontier size with the breakpoint imported
-    from the engine itself (``count_batch._MVH_SCALAR_MAX_OCCUPIED``), so
-    model and engine switch paths at the same frontier; all constants
-    measured on the BENCH_engine workloads.
-    """
-    if occupied <= _MVH_SCALAR_MAX_OCCUPIED:
-        return (
-            _COUNTBATCH_BATCH_OVERHEAD_SECONDS
-            + _COUNTBATCH_SCALAR_CELL_SECONDS * occupied * occupied
-        )
-    return _COUNTBATCH_BATCH_OVERHEAD_SECONDS + _COUNTBATCH_ROW_SECONDS * occupied
-
-
-def _countbatch_profitable(occupied: int, n: int) -> bool:
-    """Whether the modelled count-batch per-interaction cost beats the
-    fast-batch reference at population size ``n``.
-
-    One batch advances an expected ``sqrt(pi * n / 4)`` interactions (the
-    mean of the collision-free run-length distribution).
-    """
-    expected_run = math.sqrt(math.pi * n / 4.0)
-    per_interaction = countbatch_batch_seconds(occupied) / expected_run
-    return per_interaction < _FASTBATCH_SECONDS_PER_INTERACTION
 
 
 def count_capable(protocol: PopulationProtocol, n: int) -> bool:
@@ -331,20 +263,11 @@ def _scenario_capable_names() -> list:
     )
 
 
-def _countbatch_without_kernel(protocol: PopulationProtocol, n: int) -> bool:
-    """No-kernel tier: whether count-batch is forced or modelled profitable
-    for a count-capable protocol at ``n >= _COUNTBATCH_MIN_N``.
-
-    Below the force threshold the model is priced at the occupied-frontier
-    hint, else at the declared state-space size; a protocol that declares
-    neither stays on the per-agent engines.
-    """
-    if n >= COUNTBATCH_FORCE_N:
-        return True
-    occupied = protocol.occupied_states_hint()
-    if occupied is None:
-        occupied = state_space_size(protocol)
-    return occupied is not None and _countbatch_profitable(occupied, n)
+def _per_agent_engine(n: int) -> Type[BaseEngine]:
+    """The per-agent engine for ``n``: fastbatch from its crossover, which
+    drops to a few hundred agents when the C kernel is available."""
+    threshold = _FASTBATCH_MIN_N_CKERNEL if kernel_available() else _FASTBATCH_MIN_N
+    return FastBatchEngine if n >= threshold else SequentialEngine
 
 
 def auto_engine(
@@ -365,25 +288,21 @@ def auto_engine(
         active = active_scenario(scenario)
         if active is not None:
             if active.requirements() <= FastBatchEngine.scenario_capabilities:
-                threshold = (
-                    _FASTBATCH_MIN_N_CKERNEL
-                    if kernel_available()
-                    else _FASTBATCH_MIN_N
-                )
-                if n >= threshold:
-                    return FastBatchEngine
+                return _per_agent_engine(n)
             return SequentialEngine
-    if n >= _COUNTBATCH_MIN_N and count_capable(protocol, n):
-        # With the count kernel nothing is priced: the table grows on the
-        # realised frontier.
-        if count_kernel_available() or _countbatch_without_kernel(protocol, n):
-            return CountBatchEngine
-    threshold = (
-        _FASTBATCH_MIN_N_CKERNEL if kernel_available() else _FASTBATCH_MIN_N
-    )
-    if n >= threshold:
-        return FastBatchEngine
-    return SequentialEngine
+    # The order matters: the kernel tier and the forced range decide before
+    # complete_state_space() could enumerate states.
+    if (
+        n >= _COUNTBATCH_MIN_N
+        and count_capable(protocol, n)
+        and (
+            count_kernel_available()
+            or n >= COUNTBATCH_FORCE_N
+            or protocol.complete_state_space()
+        )
+    ):
+        return CountBatchEngine
+    return _per_agent_engine(n)
 
 
 def resolve_engine(

@@ -134,10 +134,10 @@ class PopulationProtocol(abc.ABC):
         be non-negative and sum to ``n``.  Declaring this hook is what makes
         a protocol *count-capable*: ``engine="auto"`` considers the
         configuration-space engines at large ``n`` on this hook alone, with
-        or without the compiled count kernel (without it, a cost model
-        priced at :meth:`occupied_states_hint` decides below the force
-        threshold).  No declared state space is needed; the transition
-        table grows on the frontier a run occupies.
+        or without the compiled count kernel (without it, below the force
+        threshold, only a protocol whose :meth:`complete_state_space` holds
+        is dispatched there).  No declared state space is needed; the
+        transition table grows on the frontier a run occupies.
         """
         return None
 
@@ -148,14 +148,11 @@ class PopulationProtocol(abc.ABC):
         any configuration actually occupies at one time (GSU19: a reachable
         closure of ``~1.8*10^3`` states, but runs occupy well under a
         hundred at once — agents' clock phases stay in a narrow moving
-        band) can declare that envelope here.  Only the dispatcher's
-        *no-kernel* count-batch cost model reads it, below its force
-        threshold, evaluating per-batch cost at this bound instead of the
-        declared size; with the compiled count kernel ``auto`` prices
-        nothing and never calls this.
-        It never affects correctness, only engine choice, so an empirically
-        measured envelope is fine.  ``None`` (the default) makes the
-        no-kernel model fall back to the declared state-space size.
+        band) can declare that envelope here.  No library code reads it:
+        ``auto`` decides on :meth:`initial_counts`, the kernel, the force
+        threshold and :meth:`complete_state_space`, without a frontier
+        bound.  Only the end-to-end benchmark's dispatch label still calls
+        it, and the hook goes away once that read is dropped.
         """
         return None
 

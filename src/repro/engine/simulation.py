@@ -59,6 +59,7 @@ from repro.engine.dispatch import (
     ENGINE_REGISTRY,
     REMOVED_ENGINES,
     EngineSpec,
+    canonical_name,
     removed_engine_message,
     resolve_engine,
 )
@@ -145,8 +146,9 @@ class RunResult:
     wall_clock_seconds:
         Real time spent simulating (for throughput reporting only).
     metadata:
-        Free-form dictionary populated by callers (experiment parameters,
-        epoch markers, ...).
+        Free-form dictionary: ``"engine"``, the registry name of the engine
+        that ran, plus whatever callers add (experiment parameters, epoch
+        markers, ...).
     """
 
     protocol_name: str
@@ -178,8 +180,12 @@ class RunResult:
         wall_clock_seconds: float = 0.0,
         scenario=None,
     ) -> "RunResult":
-        """The result of a run that stopped at ``engine``'s current state."""
-        metadata: Dict[str, object] = {}
+        """The result of a run that stopped at ``engine``'s current state.
+
+        ``metadata["engine"]`` names the engine that ran (what ``"auto"``
+        resolved to); like all metadata it stays out of store keys.
+        """
+        metadata: Dict[str, object] = {"engine": canonical_name(type(engine))}
         if scenario is not None:
             metadata["scenario"] = scenario.label()
             counters = getattr(engine, "scenario_counters", None)

@@ -25,9 +25,8 @@ from repro.core.state import zero_state
 from repro.engine import dispatch
 from repro.engine.closure import reachable_states
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.dispatch import COUNTBATCH_FORCE_N, auto_engine, state_space_size
+from repro.engine.dispatch import COUNTBATCH_FORCE_N, auto_engine
 from repro.engine.engine import SequentialEngine
-from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
 from repro.errors import ProtocolError
 
@@ -120,7 +119,6 @@ def test_canonical_states_gated_on_population_scale():
     for n_hint in (4096, 10**7, COUNTBATCH_FORCE_N, 10**8, 10**12):
         protocol = _small_gsu(n_hint=n_hint)
         assert protocol.canonical_states() is None
-        assert state_space_size(protocol) is None
         assert not protocol.complete_state_space()
         closure = protocol.reachable_state_closure()
         assert len(closure) == 144
@@ -172,8 +170,8 @@ def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs(monkeypatch):
     """In the 3e6..3e7 window dispatch must not pay the default-calibration
     closure BFS, on either tier.  With the count kernel GSU19 goes to
     count-batch on its ``initial_counts`` alone (the table grows on the
-    realised frontier); without it the cost model prices its occupied
-    frontier hint and keeps the per-agent engine.
+    realised frontier); without it GSU19, which declares no state space,
+    keeps the per-agent engine below the force threshold.
 
     The instance is built with the *default* calibration at a
     count-batch-scale n_hint; the BFS is made to raise, so a regression
@@ -238,29 +236,3 @@ def test_headline_auto_dispatch_at_default_calibration_1e8():
     assert isinstance(simulation.engine, CountBatchEngine)
     assert sum(count for _, count in simulation.engine.state_count_items()) == n
     assert peak < 256 * 2**20
-
-
-# ----------------------------------------------------------------------
-# state_space_size robustness
-# ----------------------------------------------------------------------
-def test_state_space_size_accepts_generators_and_sized_containers():
-    class GeneratorStates(ProtocolSpec):
-        def canonical_states(self):
-            return (state for state in ("a", "b", "c"))
-
-    generator_valued = GeneratorStates(
-        name="gen", initial="a", rules=lambda r, i: (r, i), outputs=lambda s: "F"
-    )
-    assert state_space_size(generator_valued) == 3
-    sized = ProtocolSpec(
-        name="sized",
-        initial="a",
-        rules=lambda r, i: (r, i),
-        outputs=lambda s: "F",
-        states=["a", "b"],
-    )
-    assert state_space_size(sized) == 2
-    lazy = ProtocolSpec(
-        name="lazy", initial="a", rules=lambda r, i: (r, i), outputs=lambda s: "F"
-    )
-    assert state_space_size(lazy) is None

@@ -1,13 +1,13 @@
-"""The two count-dispatch tiers of ``engine="auto"``.
+"""The count-dispatch rule of ``engine="auto"``.
 
-From ``_COUNTBATCH_MIN_N`` agents count eligibility is one rule on both
-tiers, an O(k) ``initial_counts``, and the choice depends only on whether
-the compiled count kernel is available.  With it, every eligible protocol
-goes to ``CountBatchEngine`` without the dispatcher ever enumerating
-states; without it, eligibility alone decides from ``COUNTBATCH_FORCE_N``
-and the Python-tier cost model below that.  Below the threshold the choice
-ignores the count kernel altogether.  Both kernels come from one
-compiler probe, so a tier patches both predicates together.
+From ``_COUNTBATCH_MIN_N`` agents count eligibility is an O(k)
+``initial_counts``, and an eligible protocol goes to ``CountBatchEngine``
+when the compiled count kernel is available, or ``n >= COUNTBATCH_FORCE_N``,
+or the protocol declares its complete state space -- tested in that order,
+so the kernel tier and the forced range never enumerate states.  No path
+prices anything or reads the frontier hint.  Below the threshold the choice
+ignores the count kernel altogether.  Both kernels come from one compiler
+probe, so a tier patches both predicates together.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ _COUNTS_PROTOCOLS = {
     "junta": JuntaElection.for_population,
     "gs18": GS18LeaderElection.for_population,
     "gsu19": GSULeaderElection.for_population,
-    # A 24-state frontier hint, priced unprofitable below the force
-    # threshold.
+    # A small calibration; still lazily discovered, so it waits for the
+    # force threshold on the no-kernel tier.
     "gsu19-gamma4": lambda n: GSULeaderElection(
         GSUParams(n_hint=n, gamma=4, phi=1, psi=1)
     ),
@@ -69,6 +69,20 @@ class _EnumerationSpy(OneWayEpidemic):
 
 class _NoCountsSpy(_EnumerationSpy):
     def initial_counts(self, n):
+        return None
+
+
+class _DeclaredSpaceSpy(OneWayEpidemic):
+    """A declared 2-state space; the frontier hint must not be read."""
+
+    def occupied_states_hint(self):
+        raise AssertionError("dispatch called occupied_states_hint()")
+
+
+class _LazySpy(_DeclaredSpaceSpy):
+    """The same epidemic, discovering its states lazily."""
+
+    def canonical_states(self):
         return None
 
 
@@ -96,17 +110,18 @@ def test_kernel_tier_never_enumerates_states(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# No-kernel tier: forced from COUNTBATCH_FORCE_N, priced below it
+# No-kernel tier: a declared state space from 3e6, everything from 3e7
 # ----------------------------------------------------------------------
 _F, _C = FastBatchEngine, CountBatchEngine
 _NO_KERNEL_SIZES = (10**6, 3 * 10**6, 10**7, 3 * 10**7)
-#: Below 3e7 the cost model's decisions; at 3e7 (= COUNTBATCH_FORCE_N)
-#: every protocol goes to count-batch on its initial_counts alone, lazily
-#: discovering ones (lottery, junta, gs18, gsu19) included.
+#: From 3e6 the protocols that declare their (2-4 state) space go to
+#: count-batch; at 3e7 (= COUNTBATCH_FORCE_N) every protocol does on its
+#: initial_counts alone, lazily discovering ones (lottery, junta, gs18,
+#: gsu19) included.
 _NO_KERNEL_DECISIONS = {
     "epidemic": (_F, _C, _C, _C),
     "approximate-majority": (_F, _C, _C, _C),
-    "exact-majority": (_F, _F, _C, _C),
+    "exact-majority": (_F, _C, _C, _C),
     "slow": (_F, _C, _C, _C),
     "lottery": (_F, _F, _F, _C),
     "junta": (_F, _F, _F, _C),
@@ -118,6 +133,8 @@ _NO_KERNEL_DECISIONS = {
 
 @pytest.mark.parametrize("name", sorted(_COUNTS_PROTOCOLS))
 def test_no_kernel_tier_decisions_are_unchanged(monkeypatch, name):
+    """The pinned cells: a change to the no-kernel rule shows here as a
+    flipped entry of ``_NO_KERNEL_DECISIONS``."""
     _tier(monkeypatch, False)
     chosen = tuple(
         auto_engine(_COUNTS_PROTOCOLS[name](n), n) for n in _NO_KERNEL_SIZES
@@ -133,6 +150,17 @@ def test_no_kernel_tier_forces_without_enumerating_states(monkeypatch):
     for n in (COUNTBATCH_FORCE_N, 10**8):
         assert auto_engine(_EnumerationSpy(), n) is CountBatchEngine
         assert auto_engine(_NoCountsSpy(), n) is FastBatchEngine
+
+
+def test_no_kernel_tier_never_reads_the_frontier_hint(monkeypatch):
+    """The no-kernel rule decides on ``complete_state_space()`` and the
+    force threshold alone: a declared space goes to count-batch from the
+    count threshold, a lazily discovered one from the force threshold."""
+    _tier(monkeypatch, False)
+    for n in (_COUNTBATCH_MIN_N, 10**7, COUNTBATCH_FORCE_N, 10**8):
+        assert auto_engine(_DeclaredSpaceSpy(), n) is CountBatchEngine
+        lazy = CountBatchEngine if n >= COUNTBATCH_FORCE_N else FastBatchEngine
+        assert auto_engine(_LazySpy(), n) is lazy
 
 
 # ----------------------------------------------------------------------

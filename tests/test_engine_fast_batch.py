@@ -362,40 +362,39 @@ def test_auto_engine_policy_with_c_kernel(monkeypatch):
     assert auto_engine(epidemic, 1 << 28) is CountBatchEngine
 
 
-def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
-    """Without the count kernel the occupied-frontier cost model decides: a
-    4-state protocol crosses over later than a 2-state one, and above the
-    force threshold count-capability alone decides (per-agent construction
+def test_auto_engine_no_kernel_rule_discriminates_by_declared_space(monkeypatch):
+    """Without the count kernel a protocol that declares its complete state
+    space goes to count-batch from the count threshold, and a lazily
+    discovering one only from the force threshold (per-agent construction
     is the binding constraint there, not throughput).  With the count
-    kernel nothing is priced.  Count-capability is an O(k)
+    kernel both go from the count threshold.  Count-capability is an O(k)
     ``initial_counts`` on both tiers."""
     from repro.engine import dispatch
     from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
+    from repro.protocols.gs18 import GS18LeaderElection
 
-    # NumPy tier: 4 states is ~4x the epidemic's per-batch cost, pushing
-    # the measured crossover past 3e6 (the 2-state crossover).
+    # NumPy tier: exact majority declares its 4 states.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     majority = ExactMajority.for_population(3 * 10**6)
     assert count_capable(majority, 3 * 10**6)
-    assert auto_engine(majority, 3 * 10**6) is FastBatchEngine
+    assert majority.complete_state_space()
+    assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
     big_majority = ExactMajority.for_population(10**7)
     assert auto_engine(big_majority, 10**7) is CountBatchEngine
-    # Kernel tier: the same 3e6 instance goes to count-batch.
-    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
-    assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
-    # GS18 declares initial_counts but no state space and no frontier hint:
-    # count-capable on both tiers (its table grows lazily).  Without the
-    # kernel it is forced at the threshold; below it there is nothing to
-    # price, so it stays on fastbatch.
-    from repro.protocols.gs18 import GS18LeaderElection
-
+    # GS18 declares initial_counts but no state space: count-capable on
+    # both tiers (its table grows lazily), forced at the threshold without
+    # the kernel and kept on fastbatch below it.
     gs18 = GS18LeaderElection.for_population(COUNTBATCH_FORCE_N)
     assert count_capable(gs18, COUNTBATCH_FORCE_N)
-    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
-    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
+    assert not gs18.complete_state_space()
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
     assert auto_engine(gs18, 10**7) is FastBatchEngine
+    # Kernel tier: both go to count-batch.
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
+    assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
+    assert auto_engine(gs18, 10**7) is CountBatchEngine
 
 
 def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
@@ -415,9 +414,9 @@ def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
         monkeypatch.setattr(dispatch, "count_kernel_available", lambda v=kernels: v)
         assert auto_engine(protocol, COUNTBATCH_FORCE_N) is CountBatchEngine
     assert core_protocol._CLOSURE_CACHE == cache_before
-    # Below the force threshold the NumPy tier prices GSU19's frontier hint
-    # and keeps fastbatch; with the compiled count kernel nothing is priced
-    # and the same instance goes to count-batch.
+    # Below the force threshold the NumPy tier keeps the lazily discovering
+    # GSU19 on fastbatch; with the compiled count kernel the same instance
+    # goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(protocol, 10**7) is FastBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)

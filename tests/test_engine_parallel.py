@@ -238,6 +238,48 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
     ]
 
 
+#: Store keys of the two grouped slow-protocol cells below; recording the
+#: engine in the result's metadata must not move them.
+_ENGINE_METADATA_CELL_KEYS = [
+    "6fb7a9714fae5c530127176f0a30e6b9832244096653a1c1f2b32d126a14bcc5",
+    "ead034f0dc1a63fa9cd5d049d0572a25f91882bf4861219bde3f298e56c65020",
+]
+
+
+def test_results_name_the_engine_that_ran(tmp_path):
+    """``metadata["engine"]`` names the engine a run used: what ``auto``
+    resolved to on the per-cell path, ``countbatch`` on mega-cell rows.
+    It is metadata, not identity: the stored cells keep their keys and
+    carry the name back on resume."""
+    from repro.engine._ckernel import kernel_available
+
+    tiny = run_protocol(_factory(64), 64, seed=1, engine_cls="auto")
+    assert tiny.metadata["engine"] == "sequential"
+    small = run_protocol(_factory(1024), 1024, seed=1, engine_cls="auto")
+    expected = "fastbatch" if kernel_available() else "sequential"
+    assert small.metadata["engine"] == expected
+
+    store = ExperimentStore(tmp_path)
+    points = run_cells(
+        _factory, 64, [101, 102], max_parallel_time=1000,
+        engine="countbatch", store=store,
+    )
+    assert all(point.extra.get("replicated") for point in points)
+    assert [point.result.metadata["engine"] for point in points] == [
+        "countbatch", "countbatch",
+    ]
+    keys = sorted(path.stem for path in (tmp_path / "cells").glob("*.json"))
+    assert keys == _ENGINE_METADATA_CELL_KEYS
+    resumed = run_cells(
+        _factory, 64, [101, 102], max_parallel_time=1000,
+        engine="countbatch", store=store,
+    )
+    assert all(point.extra.get("cached") for point in resumed)
+    assert [point.result.metadata["engine"] for point in resumed] == [
+        "countbatch", "countbatch",
+    ]
+
+
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
     # raise_on_budget is a per-run exception policy the mega-cell path does
     # not implement; such sweeps take the per-cell path.
